@@ -7,12 +7,14 @@ with w_i * w_j = w_i0 * w_j0; the quadratic relation z_i z_j - z_i0 z_j0 is
 recorded in canonical form.
 
 Whether these quadrics generate the full toric ideal through degree m is
-equivalent to connectivity of every degree-m fiber: group the m-multisets
-of generator indices by their product monomial, connect two multisets when
-one quadratic relation rewrites one into the other, and require each group
-to be a single component.  ``check_fiber_connectivity`` certifies degrees
-2..m_max or returns a disconnected fiber (a kernel binomial that the
-quadrics do not generate).
+equivalent to connectivity of every degree-m fiber: the m-multisets of
+generator indices sharing one product monomial, linked when one quadratic
+relation rewrites one into the other.  A rewrite turns {a,b}+R into {c,d}+R
+for a quadric z_a z_b - z_c z_d and an (m-2)-multiset R, so
+``check_fiber_connectivity`` joins both sides of every (quadric, R) pair in
+one union-find per degree and requires each fiber to be a single class.  It
+certifies degrees 2..m_max or returns a disconnected fiber (a kernel
+binomial that the quadrics do not generate).
 """
 from __future__ import annotations
 
@@ -49,15 +51,17 @@ class SymExchangeBinomial:
 
 
 def sym_exchange_binomials(w) -> tuple:
-    """All canonical symmetric exchange quadrics of a generator set."""
+    """All canonical symmetric exchange quadrics of a generator set.
+
+    Only pairs i < j are visited: the swap (xi, rho) on (w_i, w_j) lands on
+    the same pair of members as the swap (rho, xi) on (w_j, w_i).
+    """
     ws = _ordered_members(w)
     index = {vec: k + 1 for k, vec in enumerate(ws)}
     n = len(ws[0]) if ws else 0
     out = set()
     for i, u in enumerate(ws, start=1):
-        for j, v in enumerate(ws, start=1):
-            if i == j:
-                continue
+        for j, v in enumerate(ws[i:], start=i + 1):
             for xi in range(n):
                 if u[xi] <= v[xi]:
                     continue
@@ -70,7 +74,7 @@ def sym_exchange_binomials(w) -> tuple:
                     ib = index.get(b)
                     if ia is None or ib is None:
                         continue
-                    p = tuple(sorted((i, j)))
+                    p = (i, j)
                     q = tuple(sorted((ia, ib)))
                     if p == q:
                         continue
@@ -109,46 +113,6 @@ def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
     return tuple(
         Fiber(m, prod, tuple(nodes)) for prod, nodes in sorted(groups.items())
     )
-
-
-def _apply_moves(node, moves):
-    """Neighbor multisets reachable by one quadratic rewrite."""
-    out = []
-    counts = {}
-    for k in node:
-        counts[k] = counts.get(k, 0) + 1
-    for (a, b), (c, d) in moves:
-        if a == b:
-            if counts.get(a, 0) < 2:
-                continue
-        elif not (counts.get(a) and counts.get(b)):
-            continue
-        lst = list(node)
-        lst.remove(a)
-        lst.remove(b)
-        lst.extend((c, d))
-        out.append(tuple(sorted(lst)))
-    return out
-
-
-def _fiber_connected(fiber: Fiber, moves):
-    """(True, None) if connected, else (False, (reached, unreached))."""
-    nodes = set(fiber.nodes)
-    if len(nodes) <= 1:
-        return True, None
-    start = fiber.nodes[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nxt in _apply_moves(cur, moves):
-            if nxt in nodes and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) == len(nodes):
-        return True, None
-    unreached = min(nodes - seen)
-    return False, (start, unreached)
 
 
 @dataclass(frozen=True)
@@ -205,28 +169,44 @@ def check_fiber_connectivity(
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     bins = sym_exchange_binomials(w)
-    moves = []
-    for rel in bins:
-        p, q = rel.pairs()
-        moves.append((p, q))
-        moves.append((q, p))
+    s = len(_ordered_members(w))
     checks = []
     for m in range(2, m_max + 1):
         level = fibers(w, m, budget)
+        parent = {}
+
+        def find(x):
+            root = x
+            while (up := parent.get(root, root)) != root:
+                root = up
+            while x != root:
+                parent[x], x = root, parent[x]
+            return root
+
+        for rest in combinations_with_replacement(range(1, s + 1), m - 2):
+            for rel in bins:
+                p, q = rel.pairs()
+                ra = find(tuple(sorted(p + rest)))
+                rb = find(tuple(sorted(q + rest)))
+                if ra != rb:
+                    parent[ra] = rb
         nontrivial = 0
         for fib in level:
             if len(fib.nodes) > 1:
                 nontrivial += 1
-                ok, bad = _fiber_connected(fib, moves)
-                if not ok:
-                    checks.append(FiberCheck(m, len(level), nontrivial, False))
-                    return ConnectivityReport(
-                        False,
-                        m_max,
-                        tuple(checks),
-                        len(bins),
-                        (m, fib.product, bad[0], bad[1]),
-                    )
+                # nodes are in lexicographic order, so the first one outside
+                # the class of nodes[0] is the least such node
+                root = find(fib.nodes[0])
+                for node in fib.nodes[1:]:
+                    if find(node) != root:
+                        checks.append(FiberCheck(m, len(level), nontrivial, False))
+                        return ConnectivityReport(
+                            False,
+                            m_max,
+                            tuple(checks),
+                            len(bins),
+                            (m, fib.product, fib.nodes[0], node),
+                        )
         checks.append(FiberCheck(m, len(level), nontrivial, True))
     return ConnectivityReport(True, m_max, tuple(checks), len(bins))
 

@@ -241,11 +241,18 @@ def test_criterion_11_conjecture_scan():
     graphs = corpus.unicyclic_up_to(7)
     report = conjecture_scan(graphs, cap_max=2, m_max=3)
     elapsed = time.time() - t0
-    ok = report.clean and not report.budget_skips and elapsed < 1800
+    counts = (report.instances, report.strong_pass, report.strong_fail)
+    ok = (
+        report.clean
+        and not report.budget_skips
+        and counts == (3034, 2353, 681)
+        and elapsed < 1800
+    )
     _report(
         11,
         ok,
-        f"conjecture scan: {report.instances} instances over {len(graphs)} graphs, "
-        f"violations={len(report.violations)}",
+        f"conjecture scan: {report.instances} instances over {len(graphs)} graphs "
+        f"(strong pass/fail {report.strong_pass}/{report.strong_fail}), "
+        f"violations={len(report.violations)}, budget skips={len(report.budget_skips)}",
         elapsed,
     )

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -13,8 +15,13 @@ from edgepow import (
     sym_exchange_binomials,
     template,
 )
-from edgepow import corpus
-from helpers import random_caps, random_connected_graph
+from edgepow import corpus, toric
+from helpers import (
+    random_caps,
+    random_connected_graph,
+    random_member_set,
+    reference_fiber_connectivity,
+)
 
 K2 = graph_from_edges(2, [(1, 2)])
 
@@ -84,9 +91,19 @@ def test_disconnected_fiber_detected():
     assert sym_exchange_binomials(w) == ()
     rep = check_fiber_connectivity(w, 2)
     assert not rep.ok
-    m, product, a, b = rep.failure
-    assert m == 2 and product == (2, 2, 2)
-    assert a != b
+    assert rep.failure == (2, (2, 2, 2), (1, 4), (2, 3))
+    assert rep.to_json() == {
+        "ok": False,
+        "m_max": 2,
+        "binomials": 0,
+        "degrees": [{"m": 2, "fibers": 9, "nontrivial": 1, "connected": False}],
+        "failure": {
+            "m": 2,
+            "product": [2, 2, 2],
+            "multiset_a": [1, 4],
+            "multiset_b": [2, 3],
+        },
+    }
 
 
 def test_strong_pass_implies_connectivity_through_3():
@@ -118,11 +135,60 @@ def test_moves_preserve_products_random():
 
 def test_connectivity_independent_of_member_order():
     rng = random.Random(71)
-    members = list(FINAL_W.members)
-    base = check_fiber_connectivity(FINAL_W, 3).ok
-    for _ in range(5):
-        rng.shuffle(members)
-        assert check_fiber_connectivity(members, 3).ok == base
+    disconnected = {(2, 0, 1), (0, 2, 1), (1, 1, 2), (1, 1, 0), (0, 0, 3)}
+    for w in (FINAL_W.members, disconnected):
+        members = sorted(w)
+        base = check_fiber_connectivity(members, 3).to_json()
+        for _ in range(5):
+            rng.shuffle(members)
+            assert check_fiber_connectivity(members, 3).to_json() == base
+    assert base["failure"]["multiset_a"] == [1, 4]
+
+
+def test_connectivity_matches_reference_search():
+    rng = random.Random(73)
+    failing = 0
+    for _ in range(400):
+        w = random_member_set(rng)
+        m = rng.randint(2, 4)
+        got = check_fiber_connectivity(w, m).to_json()
+        assert got == reference_fiber_connectivity(w, m).to_json()
+        failing += not got["ok"]
+    assert failing >= 40
+
+
+def test_connectivity_budget_checked_before_union_find(monkeypatch):
+    enumerated = []
+
+    def recording(pool, k):
+        enumerated.append(k)
+        return combinations_with_replacement(pool, k)
+
+    monkeypatch.setattr(toric, "combinations_with_replacement", recording)
+    with pytest.raises(BudgetError):
+        check_fiber_connectivity(FINAL_W, 3, budget=10)
+    assert enumerated == []
+    # degree 2 (21 multisets) fits, degree 3 (56) does not: only the degree-2
+    # fibers and their union-find are built
+    with pytest.raises(BudgetError):
+        check_fiber_connectivity(FINAL_W, 3, budget=30)
+    assert enumerated == [2, 0]
+
+
+def test_conjecture_scan_records_budget_skips():
+    checked = []
+    report = conjecture_scan(
+        [template("c3pathpend")],
+        cap_max=2,
+        m_max=3,
+        fiber_budget=10,
+        on_instance=lambda gi, caps, rep: checked.append(caps),
+    )
+    assert report.clean and report.budget_skips and checked
+    assert len(report.budget_skips) + len(checked) == report.instances
+    for skip in report.budget_skips:
+        assert skip.status == "budget" and comb(skip.members + 2, 3) > 10
+    assert report.to_json()["budget_skips"][0]["status"] == "budget"
 
 
 def test_conjecture_scan_small():
