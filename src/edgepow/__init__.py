@@ -38,14 +38,11 @@ from .powers import (
 from .exchange import (
     ExchangeReport,
     ExchangeWitness,
-    SubmodularFunction,
     VeroneseDecomposition,
     check_exchange,
     check_strong_exchange,
     check_symmetric_exchange,
-    coverage_function,
     detect_veronese,
-    enumerate_polymatroid_base,
     search_sep_counterexample,
 )
 from .classify import (

@@ -41,19 +41,10 @@ def _resolve_graph(arg: str) -> Graph:
     return from_spec(arg)
 
 
-def _caps_for(g: Graph, text: str):
-    caps = parse_caps(text)
-    if len(caps) != g.n:
-        raise ValueError(
-            f"cap vector has {len(caps)} entries, graph has {g.n} vertices"
-        )
-    return caps
-
-
 def _cmd_delta(args) -> int:
     g = _resolve_graph(args.graph)
     engine = PowerEngine(g, args.budget)
-    value = engine.delta(_caps_for(g, args.caps))
+    value = engine.delta(parse_caps(args.caps))
     if args.json:
         print(json.dumps({"delta": value}))
     else:
@@ -64,7 +55,7 @@ def _cmd_delta(args) -> int:
 def _cmd_gens(args) -> int:
     g = _resolve_graph(args.graph)
     engine = PowerEngine(g, args.budget)
-    gens = engine.generators(_caps_for(g, args.caps))
+    gens = engine.generators(parse_caps(args.caps))
     if args.json:
         print(json.dumps(gens.to_json()))
     else:
@@ -84,7 +75,7 @@ _CHECKS = {
 def _cmd_check(args) -> int:
     g = _resolve_graph(args.graph)
     engine = PowerEngine(g, args.budget)
-    gens = engine.generators(_caps_for(g, args.caps))
+    gens = engine.generators(parse_caps(args.caps))
     if args.property == "veronese":
         decomp = detect_veronese(gens)
         if args.json:

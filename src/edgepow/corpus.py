@@ -46,7 +46,14 @@ def all_unicyclic(n: int) -> tuple:
                     continue
                 cand = tree.copy()
                 cand.add_edge(u, v)
-                key = nx.weisfeiler_lehman_graph_hash(cand, iterations=3)
+                # bucket by the sorted (degree, neighbour degrees) profile,
+                # an invariant that does not depend on the networkx version
+                key = tuple(
+                    sorted(
+                        (d, tuple(sorted(cand.degree(y) for y in cand[x])))
+                        for x, d in cand.degree()
+                    )
+                )
                 known = buckets.setdefault(key, [])
                 if any(nx.is_isomorphic(cand, other) for other in known):
                     continue

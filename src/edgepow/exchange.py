@@ -8,6 +8,11 @@ variable indices xi, rho with u[xi] > v[xi] and u[rho] < v[rho]:
   generators;
 * strong:    every such (xi, rho) keeps u - e_xi + e_rho a generator.
 
+The three checks, and the symmetric-exchange quadrics of ``toric``, share
+one enumeration of these configurations: ``_moves`` yields each pair
+(u, v) with its ``ups`` (the xi) and ``downs`` (the rho), and each consumer
+keeps only its own test.
+
 A generator set passes the strong property exactly when it is a shifted
 bounded-degree slice: a common factor times all monomials of one degree
 under componentwise bounds.  ``detect_veronese`` constructs the only
@@ -16,14 +21,13 @@ the bounds) and verifies it, so presence of the decomposition and the
 strong verdict can be cross-checked independently.
 
 The module also hosts the cap-grid counterexample search for the strong
-property over a whole graph, and integer polymatroid utilities used to
-generate base families for property tests.
+property over a whole graph.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, permutations, product
 
 from .graph import Graph
 from .powers import (
@@ -97,79 +101,64 @@ class ExchangeReport:
         return out
 
 
+def _moves(pairs):
+    """Each pair (u, v) with the indices where u is above v (``ups``) and
+    below v (``downs``), both ascending.
+
+    A swap u - e_xi + e_rho is admissible for xi in ups and rho in downs.
+    """
+    for u, v in pairs:
+        ups = []
+        downs = []
+        for k, a in enumerate(u):
+            b = v[k]
+            if a > b:
+                ups.append(k)
+            elif a < b:
+                downs.append(k)
+        yield u, v, ups, downs
+
+
 def check_exchange(w) -> ExchangeReport:
     """Single-sided exchange; the first failing (u, v, xi) in sorted order."""
     mem = _member_set(w)
-    ordered = sorted(mem)
-    n = len(ordered[0])
-    for u in ordered:
-        for v in ordered:
-            if u == v:
-                continue
-            for xi in range(n):
-                if u[xi] <= v[xi]:
-                    continue
-                ok = any(
-                    u[rho] < v[rho] and _swap(u, xi, rho) in mem for rho in range(n)
+    for u, v, ups, downs in _moves(permutations(sorted(mem), 2)):
+        for xi in ups:
+            if not any(_swap(u, xi, rho) in mem for rho in downs):
+                return ExchangeReport(
+                    EXCHANGE, False, ExchangeWitness(u, v, xi + 1, None, None)
                 )
-                if not ok:
-                    return ExchangeReport(
-                        EXCHANGE,
-                        False,
-                        ExchangeWitness(u, v, xi + 1, None, None),
-                    )
     return ExchangeReport(EXCHANGE, True)
 
 
 def check_symmetric_exchange(w) -> ExchangeReport:
     """Two-sided exchange; both swapped monomials must stay in the set."""
     mem = _member_set(w)
-    ordered = sorted(mem)
-    n = len(ordered[0])
-    for u in ordered:
-        for v in ordered:
-            if u == v:
-                continue
-            for xi in range(n):
-                if u[xi] <= v[xi]:
-                    continue
-                ok = any(
-                    u[rho] < v[rho]
-                    and _swap(u, xi, rho) in mem
-                    and _swap(v, rho, xi) in mem
-                    for rho in range(n)
+    for u, v, ups, downs in _moves(permutations(sorted(mem), 2)):
+        for xi in ups:
+            if not any(
+                _swap(u, xi, rho) in mem and _swap(v, rho, xi) in mem
+                for rho in downs
+            ):
+                return ExchangeReport(
+                    SYMMETRIC, False, ExchangeWitness(u, v, xi + 1, None, None)
                 )
-                if not ok:
-                    return ExchangeReport(
-                        SYMMETRIC,
-                        False,
-                        ExchangeWitness(u, v, xi + 1, None, None),
-                    )
     return ExchangeReport(SYMMETRIC, True)
 
 
 def check_strong_exchange(w) -> ExchangeReport:
     """Every admissible single swap must stay in the set."""
     mem = _member_set(w)
-    ordered = sorted(mem)
-    n = len(ordered[0])
-    for u in ordered:
-        for v in ordered:
-            if u == v:
-                continue
-            for xi in range(n):
-                if u[xi] <= v[xi]:
-                    continue
-                for rho in range(n):
-                    if u[rho] >= v[rho]:
-                        continue
-                    moved = _swap(u, xi, rho)
-                    if moved not in mem:
-                        return ExchangeReport(
-                            STRONG,
-                            False,
-                            ExchangeWitness(u, v, xi + 1, rho + 1, moved),
-                        )
+    for u, v, ups, downs in _moves(permutations(sorted(mem), 2)):
+        for xi in ups:
+            for rho in downs:
+                moved = _swap(u, xi, rho)
+                if moved not in mem:
+                    return ExchangeReport(
+                        STRONG,
+                        False,
+                        ExchangeWitness(u, v, xi + 1, rho + 1, moved),
+                    )
     return ExchangeReport(STRONG, True)
 
 
@@ -261,14 +250,13 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
 # ---------------------------------------------------------------------------
 # Cap-grid counterexample search
 
-def _grid_size(n, cap_max):
-    return cap_max ** n
-
-
-def _search_serial(graph, grid, node_budget):
+def _search_range(graph, cap_max, start, stop, node_budget):
+    """First failing cap vector among grid cells start..stop-1 (ascending
+    lex over {1..cap_max}^n), with its report, or None."""
     engine = PowerEngine(graph, node_budget)
     seen = set()
-    for caps in grid:
+    grid = product(range(1, cap_max + 1), repeat=graph.n)
+    for caps in islice(grid, start, stop):
         norm = normalize_caps(graph, caps)
         if norm in seen:
             continue
@@ -276,21 +264,6 @@ def _search_serial(graph, grid, node_budget):
         report = check_strong_exchange(engine.generators(norm))
         if not report.ok:
             return caps, report
-    return None
-
-
-def _search_chunk(graph, chunk, node_budget):
-    """Worker: first failing cap vector in a chunk of the grid, or None."""
-    engine = PowerEngine(graph, node_budget)
-    seen = set()
-    for offset, caps in chunk:
-        norm = normalize_caps(graph, caps)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        report = check_strong_exchange(engine.generators(norm))
-        if not report.ok:
-            return offset, caps, report
     return None
 
 
@@ -307,120 +280,31 @@ def search_sep_counterexample(
 
     Cap vectors sharing a normal form share a generator set, so each normal
     form is evaluated once.  With ``workers > 1`` the grid is split into
-    contiguous chunks evaluated in separate processes; the first failure in
+    contiguous ranges evaluated in separate processes; the first failure in
     grid order wins, so results do not depend on the worker count.
     """
     if cap_max < 1:
         raise ValueError(f"cap_max must be >= 1, got {cap_max}")
-    total = _grid_size(graph.n, cap_max)
+    total = cap_max ** graph.n
     if total > grid_limit:
         raise BudgetError(
             f"grid of {total} cap vectors exceeds the limit {grid_limit}"
         )
-    grid = product(range(1, cap_max + 1), repeat=graph.n)
     if workers <= 1:
-        return _search_serial(graph, grid, node_budget)
+        return _search_range(graph, cap_max, 0, total, node_budget)
 
-    indexed = list(enumerate(grid))
-    nchunks = max(1, min(len(indexed), workers * 4))
-    step = (len(indexed) + nchunks - 1) // nchunks
-    chunks = [indexed[k : k + step] for k in range(0, len(indexed), step)]
+    nchunks = workers * 4
+    step = (total + nchunks - 1) // nchunks
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_search_chunk, graph, ch, node_budget) for ch in chunks]
+        futures = [
+            pool.submit(_search_range, graph, cap_max, k, k + step, node_budget)
+            for k in range(0, total, step)
+        ]
         hit = None
         for fut in futures:
-            res = fut.result()
-            if res is not None:
-                hit = res
+            hit = fut.result()
+            if hit is not None:
                 break
         for fut in futures:
             fut.cancel()
-    if hit is None:
-        return None
-    _, caps, report = hit
-    return caps, report
-
-
-# ---------------------------------------------------------------------------
-# Integer polymatroids (test-instance generation for the checkers)
-
-@dataclass(frozen=True)
-class SubmodularFunction:
-    """Integer-valued set function on subsets of {0..k-1}, given by bitmask table."""
-
-    k: int
-    values: tuple
-
-    def __post_init__(self):
-        if not (1 <= self.k <= 16):
-            raise ValueError(f"ground set size must be 1..16, got {self.k}")
-        if len(self.values) != 1 << self.k:
-            raise ValueError(
-                f"value table must have {1 << self.k} entries, got {len(self.values)}"
-            )
-        vals = self.values
-        if any(not isinstance(x, int) or x < 0 for x in vals):
-            raise ValueError("values must be nonnegative integers")
-        if vals[0] != 0:
-            raise ValueError("the empty set must have value 0")
-        full = (1 << self.k) - 1
-        for mask in range(full + 1):
-            for i in range(self.k):
-                if not mask & (1 << i) and vals[mask | (1 << i)] < vals[mask]:
-                    raise ValueError("function is not monotone")
-        for a in range(full + 1):
-            for b in range(a, full + 1):
-                if vals[a] + vals[b] < vals[a | b] + vals[a & b]:
-                    raise ValueError("function is not submodular")
-
-    def value(self, mask: int) -> int:
-        return self.values[mask]
-
-    @property
-    def rank(self) -> int:
-        return self.values[-1]
-
-
-def coverage_function(weights, covers) -> SubmodularFunction:
-    """Weighted coverage function: value(A) = total weight covered by A.
-
-    Coverage functions are monotone and submodular by construction, so this
-    is a rejection-free generator of valid instances.
-    """
-    k = len(covers)
-    values = []
-    for mask in range(1 << k):
-        covered = set()
-        for i in range(k):
-            if mask & (1 << i):
-                covered.update(covers[i])
-        values.append(sum(weights[j] for j in covered))
-    return SubmodularFunction(k, tuple(values))
-
-
-def random_coverage_function(rng, k, universe_size=5, max_weight=3) -> SubmodularFunction:
-    weights = [rng.randint(0, max_weight) for _ in range(universe_size)]
-    covers = [
-        [j for j in range(universe_size) if rng.random() < 0.5] for _ in range(k)
-    ]
-    return coverage_function(weights, covers)
-
-
-def enumerate_polymatroid_base(fn: SubmodularFunction) -> frozenset:
-    """Integer base vectors: a >= 0 with sum over A <= value(A) for every A
-    and total sum equal to the rank."""
-    if fn.k > 6:
-        raise ValueError(f"base enumeration is limited to k <= 6, got {fn.k}")
-    k = fn.k
-    singles = [fn.values[1 << i] for i in range(k)]
-    masks = list(range(1, 1 << k))
-    out = set()
-    for a in product(*(range(s + 1) for s in singles)):
-        if sum(a) != fn.rank:
-            continue
-        if all(
-            sum(a[i] for i in range(k) if mask & (1 << i)) <= fn.values[mask]
-            for mask in masks
-        ):
-            out.add(a)
-    return frozenset(out)
+    return hit

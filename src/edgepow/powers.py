@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .graph import Graph
+from .graph import MAX_SEARCH_VERTICES, Graph
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 MAX_CAP = 1 << 15
@@ -131,12 +131,10 @@ def member(gens: GeneratorSet, vec) -> bool:
 class PowerEngine:
     """Shared-memo search engine for one graph, reusable across cap vectors."""
 
-    MAX_VERTICES = 32
-
     def __init__(self, graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET):
-        if graph.n > self.MAX_VERTICES:
+        if graph.n > MAX_SEARCH_VERTICES:
             raise ValueError(
-                f"enumeration is limited to {self.MAX_VERTICES} vertices, got {graph.n}"
+                f"enumeration is limited to {MAX_SEARCH_VERTICES} vertices, got {graph.n}"
             )
         self.graph = graph
         self.node_budget = node_budget
@@ -346,17 +344,3 @@ def brute_force_oracle(g: Graph, caps):
         m += 1
     return best_m, GeneratorSet(g, caps, best_m, best_set)
 
-
-def validate_generator_set(gens: GeneratorSet) -> None:
-    """Re-check the defining invariants of a GeneratorSet (for tests)."""
-    if gens.delta >= 1 and not gens.members:
-        raise AssertionError("nonzero top degree but no generators")
-    engine = PowerEngine(gens.graph)
-    for mvec in gens.members:
-        if sum(mvec) != 2 * gens.delta:
-            raise AssertionError(f"{mvec} has degree {sum(mvec)} != 2*{gens.delta}")
-        if any(e > c for e, c in zip(mvec, gens.caps)):
-            raise AssertionError(f"{mvec} exceeds caps {gens.caps}")
-        ems = engine.decompose(mvec)
-        if ems is None or ems.size != gens.delta:
-            raise AssertionError(f"{mvec} is not a product of {gens.delta} edges")

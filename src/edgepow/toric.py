@@ -19,10 +19,10 @@ binomial that the quadrics do not generate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from .exchange import check_strong_exchange, _member_set, _swap
+from .exchange import _member_set, _moves, _swap, check_strong_exchange
 from .powers import BudgetError, GeneratorSet, PowerEngine, normalize_caps
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
@@ -58,28 +58,20 @@ def sym_exchange_binomials(w) -> tuple:
     """
     ws = _ordered_members(w)
     index = {vec: k + 1 for k, vec in enumerate(ws)}
-    n = len(ws[0]) if ws else 0
     out = set()
-    for i, u in enumerate(ws, start=1):
-        for j, v in enumerate(ws[i:], start=i + 1):
-            for xi in range(n):
-                if u[xi] <= v[xi]:
+    for u, v, ups, downs in _moves(combinations(ws, 2)):
+        p = (index[u], index[v])
+        for xi in ups:
+            for rho in downs:
+                ia = index.get(_swap(u, xi, rho))
+                ib = index.get(_swap(v, rho, xi))
+                if ia is None or ib is None:
                     continue
-                for rho in range(n):
-                    if u[rho] >= v[rho]:
-                        continue
-                    a = _swap(u, xi, rho)
-                    b = _swap(v, rho, xi)
-                    ia = index.get(a)
-                    ib = index.get(b)
-                    if ia is None or ib is None:
-                        continue
-                    p = (i, j)
-                    q = tuple(sorted((ia, ib)))
-                    if p == q:
-                        continue
-                    lo, hi = min(p, q), max(p, q)
-                    out.add(SymExchangeBinomial(lo[0], lo[1], hi[0], hi[1]))
+                q = tuple(sorted((ia, ib)))
+                if p == q:
+                    continue
+                lo, hi = min(p, q), max(p, q)
+                out.add(SymExchangeBinomial(lo[0], lo[1], hi[0], hi[1]))
     return tuple(sorted(out))
 
 
@@ -123,6 +115,16 @@ class FiberCheck:
     connected: bool
 
 
+def _failure_json(failure) -> dict:
+    m, prod, a, b = failure
+    return {
+        "m": m,
+        "product": list(prod),
+        "multiset_a": list(a),
+        "multiset_b": list(b),
+    }
+
+
 @dataclass(frozen=True)
 class ConnectivityReport:
     ok: bool
@@ -147,13 +149,7 @@ class ConnectivityReport:
             ],
         }
         if self.failure is not None:
-            m, prod, a, b = self.failure
-            out["failure"] = {
-                "m": m,
-                "product": list(prod),
-                "multiset_a": list(a),
-                "multiset_b": list(b),
-            }
+            out["failure"] = _failure_json(self.failure)
         return out
 
 
@@ -234,13 +230,7 @@ class ScanInstance:
             "status": self.status,
         }
         if self.failure is not None:
-            m, prod, a, b = self.failure
-            out["failure"] = {
-                "m": m,
-                "product": list(prod),
-                "multiset_a": list(a),
-                "multiset_b": list(b),
-            }
+            out["failure"] = _failure_json(self.failure)
         return out
 
 

@@ -1,8 +1,22 @@
 """Shared random-instance generators and reference checks for the test suite."""
 from __future__ import annotations
 
-from edgepow import Graph, fibers, graph_from_edges, sym_exchange_binomials
-from edgepow.toric import ConnectivityReport, Fiber, FiberCheck
+from dataclasses import dataclass
+from itertools import product
+
+from edgepow import (
+    ExchangeReport,
+    ExchangeWitness,
+    GeneratorSet,
+    Graph,
+    PowerEngine,
+    SymExchangeBinomial,
+    fibers,
+    graph_from_edges,
+    sym_exchange_binomials,
+)
+from edgepow.exchange import EXCHANGE, STRONG, SYMMETRIC, _member_set, _swap
+from edgepow.toric import ConnectivityReport, Fiber, FiberCheck, _ordered_members
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, extra_max=4) -> Graph:
@@ -113,3 +127,206 @@ def reference_fiber_connectivity(w, m_max: int = 3) -> ConnectivityReport:
                     )
         checks.append(FiberCheck(m, len(level), nontrivial, True))
     return ConnectivityReport(True, m_max, tuple(checks), len(bins))
+
+
+def validate_generator_set(gens: GeneratorSet) -> None:
+    """Re-check the defining invariants of a GeneratorSet (for tests)."""
+    if gens.delta >= 1 and not gens.members:
+        raise AssertionError("nonzero top degree but no generators")
+    engine = PowerEngine(gens.graph)
+    for mvec in gens.members:
+        if sum(mvec) != 2 * gens.delta:
+            raise AssertionError(f"{mvec} has degree {sum(mvec)} != 2*{gens.delta}")
+        if any(e > c for e, c in zip(mvec, gens.caps)):
+            raise AssertionError(f"{mvec} exceeds caps {gens.caps}")
+        ems = engine.decompose(mvec)
+        if ems is None or ems.size != gens.delta:
+            raise AssertionError(f"{mvec} is not a product of {gens.delta} edges")
+
+
+# Integer polymatroids: their bases are generator families with the strong
+# exchange property, for property tests of the checkers.
+
+@dataclass(frozen=True)
+class SubmodularFunction:
+    """Integer-valued set function on subsets of {0..k-1}, given by bitmask table."""
+
+    k: int
+    values: tuple
+
+    def __post_init__(self):
+        if not (1 <= self.k <= 16):
+            raise ValueError(f"ground set size must be 1..16, got {self.k}")
+        if len(self.values) != 1 << self.k:
+            raise ValueError(
+                f"value table must have {1 << self.k} entries, got {len(self.values)}"
+            )
+        vals = self.values
+        if any(not isinstance(x, int) or x < 0 for x in vals):
+            raise ValueError("values must be nonnegative integers")
+        if vals[0] != 0:
+            raise ValueError("the empty set must have value 0")
+        full = (1 << self.k) - 1
+        for mask in range(full + 1):
+            for i in range(self.k):
+                if not mask & (1 << i) and vals[mask | (1 << i)] < vals[mask]:
+                    raise ValueError("function is not monotone")
+        for a in range(full + 1):
+            for b in range(a, full + 1):
+                if vals[a] + vals[b] < vals[a | b] + vals[a & b]:
+                    raise ValueError("function is not submodular")
+
+    def value(self, mask: int) -> int:
+        return self.values[mask]
+
+    @property
+    def rank(self) -> int:
+        return self.values[-1]
+
+
+def coverage_function(weights, covers) -> SubmodularFunction:
+    """Weighted coverage function: value(A) = total weight covered by A.
+
+    Coverage functions are monotone and submodular by construction, so this
+    is a rejection-free generator of valid instances.
+    """
+    k = len(covers)
+    values = []
+    for mask in range(1 << k):
+        covered = set()
+        for i in range(k):
+            if mask & (1 << i):
+                covered.update(covers[i])
+        values.append(sum(weights[j] for j in covered))
+    return SubmodularFunction(k, tuple(values))
+
+
+def random_coverage_function(rng, k, universe_size=5, max_weight=3) -> SubmodularFunction:
+    weights = [rng.randint(0, max_weight) for _ in range(universe_size)]
+    covers = [
+        [j for j in range(universe_size) if rng.random() < 0.5] for _ in range(k)
+    ]
+    return coverage_function(weights, covers)
+
+
+def enumerate_polymatroid_base(fn: SubmodularFunction) -> frozenset:
+    """Integer base vectors: a >= 0 with sum over A <= value(A) for every A
+    and total sum equal to the rank."""
+    if fn.k > 6:
+        raise ValueError(f"base enumeration is limited to k <= 6, got {fn.k}")
+    k = fn.k
+    singles = [fn.values[1 << i] for i in range(k)]
+    masks = list(range(1, 1 << k))
+    out = set()
+    for a in product(*(range(s + 1) for s in singles)):
+        if sum(a) != fn.rank:
+            continue
+        if all(
+            sum(a[i] for i in range(k) if mask & (1 << i)) <= fn.values[mask]
+            for mask in masks
+        ):
+            out.add(a)
+    return frozenset(out)
+
+
+# Reference exchange checks and quadrics: one explicit u/v/xi/rho loop each.
+
+def reference_check_exchange(w) -> ExchangeReport:
+    mem = _member_set(w)
+    ordered = sorted(mem)
+    n = len(ordered[0])
+    for u in ordered:
+        for v in ordered:
+            if u == v:
+                continue
+            for xi in range(n):
+                if u[xi] <= v[xi]:
+                    continue
+                ok = any(
+                    u[rho] < v[rho] and _swap(u, xi, rho) in mem for rho in range(n)
+                )
+                if not ok:
+                    return ExchangeReport(
+                        EXCHANGE,
+                        False,
+                        ExchangeWitness(u, v, xi + 1, None, None),
+                    )
+    return ExchangeReport(EXCHANGE, True)
+
+
+def reference_check_symmetric_exchange(w) -> ExchangeReport:
+    mem = _member_set(w)
+    ordered = sorted(mem)
+    n = len(ordered[0])
+    for u in ordered:
+        for v in ordered:
+            if u == v:
+                continue
+            for xi in range(n):
+                if u[xi] <= v[xi]:
+                    continue
+                ok = any(
+                    u[rho] < v[rho]
+                    and _swap(u, xi, rho) in mem
+                    and _swap(v, rho, xi) in mem
+                    for rho in range(n)
+                )
+                if not ok:
+                    return ExchangeReport(
+                        SYMMETRIC,
+                        False,
+                        ExchangeWitness(u, v, xi + 1, None, None),
+                    )
+    return ExchangeReport(SYMMETRIC, True)
+
+
+def reference_check_strong_exchange(w) -> ExchangeReport:
+    mem = _member_set(w)
+    ordered = sorted(mem)
+    n = len(ordered[0])
+    for u in ordered:
+        for v in ordered:
+            if u == v:
+                continue
+            for xi in range(n):
+                if u[xi] <= v[xi]:
+                    continue
+                for rho in range(n):
+                    if u[rho] >= v[rho]:
+                        continue
+                    moved = _swap(u, xi, rho)
+                    if moved not in mem:
+                        return ExchangeReport(
+                            STRONG,
+                            False,
+                            ExchangeWitness(u, v, xi + 1, rho + 1, moved),
+                        )
+    return ExchangeReport(STRONG, True)
+
+
+def reference_sym_exchange_binomials(w) -> tuple:
+    ws = _ordered_members(w)
+    index = {vec: k + 1 for k, vec in enumerate(ws)}
+    n = len(ws[0]) if ws else 0
+    out = set()
+    for i, u in enumerate(ws, start=1):
+        for j, v in enumerate(ws[i:], start=i + 1):
+            for xi in range(n):
+                if u[xi] <= v[xi]:
+                    continue
+                for rho in range(n):
+                    if u[rho] >= v[rho]:
+                        continue
+                    a = _swap(u, xi, rho)
+                    b = _swap(v, rho, xi)
+                    ia = index.get(a)
+                    ib = index.get(b)
+                    if ia is None or ib is None:
+                        continue
+                    p = (i, j)
+                    q = tuple(sorted((ia, ib)))
+                    if p == q:
+                        continue
+                    lo, hi = min(p, q), max(p, q)
+                    out.add(SymExchangeBinomial(lo[0], lo[1], hi[0], hi[1]))
+    return tuple(sorted(out))

@@ -20,15 +20,18 @@ from edgepow import (
     cycle,
     detect_veronese,
     enumerate_generators,
-    enumerate_polymatroid_base,
     path,
     search_sep_counterexample,
     sym_exchange_binomials,
     template,
 )
 from edgepow import corpus, fixtures
-from edgepow.exchange import random_coverage_function
-from helpers import random_caps, random_connected_graph
+from helpers import (
+    enumerate_polymatroid_base,
+    random_caps,
+    random_connected_graph,
+    random_coverage_function,
+)
 
 
 def _report(num, ok, label, elapsed):

@@ -4,24 +4,33 @@ import random
 import pytest
 
 from edgepow import (
-    SubmodularFunction,
     check_exchange,
     check_strong_exchange,
     check_symmetric_exchange,
-    coverage_function,
     cycle,
     detect_veronese,
     enumerate_generators,
-    enumerate_polymatroid_base,
     graph_from_edges,
     member,
     path,
     search_sep_counterexample,
     star,
+    sym_exchange_binomials,
     template,
 )
-from edgepow.exchange import random_coverage_function
-from helpers import random_caps, random_connected_graph
+from helpers import (
+    SubmodularFunction,
+    coverage_function,
+    enumerate_polymatroid_base,
+    random_caps,
+    random_connected_graph,
+    random_coverage_function,
+    random_member_set,
+    reference_check_exchange,
+    reference_check_strong_exchange,
+    reference_check_symmetric_exchange,
+    reference_sym_exchange_binomials,
+)
 
 K2 = graph_from_edges(2, [(1, 2)])
 ADVERSARIAL = {(2, 0), (0, 2)}  # equal degrees, missing the middle monomial
@@ -45,6 +54,32 @@ def test_singleton_passes_everything():
     assert check_strong_exchange(w).ok
     decomp = detect_veronese(w)
     assert decomp is not None and decomp.degree == 0 and decomp.support == ()
+
+
+def test_shared_move_kernel_matches_reference_loops():
+    checks = (
+        (check_exchange, reference_check_exchange),
+        (check_symmetric_exchange, reference_check_symmetric_exchange),
+        (check_strong_exchange, reference_check_strong_exchange),
+    )
+    rng = random.Random(67)
+    fails = {"exchange": 0, "symmetric": 0, "strong": 0}
+    mixed = 0
+    for k in range(600):
+        w = random_member_set(rng)
+        if k % 8 == 0:  # add a few degree-5 vectors: a mixed-degree set
+            n = len(next(iter(w)))
+            w |= random_member_set(
+                rng, n_min=n, n_max=n, deg_min=5, deg_max=5, size_max=3
+            )
+            mixed += 1
+        for check, reference in checks:
+            got = check(w).to_json()
+            assert got == reference(w).to_json()
+            fails[got["property"]] += got["verdict"] == "fail"
+        assert sym_exchange_binomials(w) == reference_sym_exchange_binomials(w)
+    assert mixed >= 50
+    assert min(fails.values()) >= 100
 
 
 def test_empty_set_rejected():
@@ -180,10 +215,24 @@ def test_search_k2_clean_any_caps():
 
 
 def test_search_deterministic_across_workers():
-    serial = search_sep_counterexample(path(7), 2)
-    parallel = search_sep_counterexample(path(7), 2, workers=2)
-    assert serial[0] == parallel[0]
-    assert search_sep_counterexample(path(6), 2, workers=2) is None
+    # {1,2}^7 has 128 cells, split into ranges of 16 (workers=2) or 11
+    # (workers=3); {1,2,3}^5 has 243, in ranges of 31 or 21.
+    unicyclic7 = graph_from_edges(
+        7, [(1, 2), (1, 5), (2, 3), (3, 4), (3, 6), (5, 6), (5, 7)]
+    )
+    cases = [
+        (path(7), 2, (1, 1, 1, 1, 2, 1, 1)),  # cell 4, in the first range
+        (unicyclic7, 2, (1, 2, 1, 1, 1, 1, 1)),  # cell 32, in the third range
+        (path(6), 2, None),
+        (cycle(5), 3, None),
+    ]
+    for graph, cap_max, first_hit in cases:
+        results = []
+        for workers in (1, 2, 3):
+            found = search_sep_counterexample(graph, cap_max, workers=workers)
+            results.append(None if found is None else (found[0], found[1].to_json()))
+        assert results[1] == results[0] and results[2] == results[0]
+        assert (results[0][0] if results[0] else None) == first_hit
 
 
 def test_search_grid_budget():

@@ -20,8 +20,7 @@ from edgepow import (
     star,
     template,
 )
-from edgepow.powers import validate_generator_set
-from helpers import random_caps, random_connected_graph
+from helpers import random_caps, random_connected_graph, validate_generator_set
 
 K2 = graph_from_edges(2, [(1, 2)])
 
