@@ -30,6 +30,8 @@ from .exchange import ExchangeReport, check_strong_exchange, search_sep_countere
 from .graph import Graph, GraphError, independence_number, structure_probe
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, PowerEngine
 
+CMM_STEP_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
@@ -218,9 +220,7 @@ def classify_graph(g: Graph) -> ClassificationVerdict:
 # ---------------------------------------------------------------------------
 # Complete multipartite minus a matching
 
-def classify_complete_multipartite_minus_matching(
-    g: Graph, step_limit: int = 1_000_000
-):
+def classify_complete_multipartite_minus_matching(g: Graph):
     """Recognize K_{n1,...,nm} minus a matching, up to relabeling.
 
     Works in the complement: the complement of such a graph is a disjoint
@@ -247,7 +247,7 @@ def classify_complete_multipartite_minus_matching(
     def bt():
         nonlocal steps
         steps += 1
-        if steps > step_limit:
+        if steps > CMM_STEP_LIMIT:
             raise BudgetExceeded
         rest = [v for v in range(1, n + 1) if v not in part_of]
         if not rest:
@@ -292,7 +292,7 @@ def classify_complete_multipartite_minus_matching(
         found = bt()
     except BudgetExceeded:
         raise BudgetError(
-            f"complete-multipartite recognition exceeded {step_limit} steps"
+            f"complete-multipartite recognition exceeded {CMM_STEP_LIMIT} steps"
         ) from None
     if not found:
         return None
@@ -411,7 +411,6 @@ def cross_validate(
     g: Graph,
     cap_max: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    fail_instances=None,
 ) -> CrossValidation:
     """Check a classification verdict against bounded evidence.
 
@@ -436,11 +435,9 @@ def cross_validate(
     if found is not None:
         caps, report = found
         return CrossValidation(verdict, True, "grid-counterexample", caps, report)
-    if fail_instances is None:
-        from .fixtures import failing_instances
+    from .fixtures import failing_instances
 
-        fail_instances = failing_instances()
-    for base_graph, base_caps in fail_instances:
+    for base_graph, base_caps in failing_instances():
         lifted = lift_failing_caps(g, base_graph, base_caps)
         if lifted is not None:
             caps, report = lifted

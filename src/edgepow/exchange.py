@@ -42,7 +42,7 @@ EXCHANGE = "exchange"
 SYMMETRIC = "symmetric"
 STRONG = "strong"
 
-DEFAULT_GRID_LIMIT = 2_000_000
+GRID_LIMIT = 2_000_000
 
 
 def _member_set(w):
@@ -235,16 +235,7 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
     support = tuple(i + 1 for i in range(n) if maxs[i] > mins[i])
     bounds = tuple(maxs[i - 1] - mins[i - 1] for i in support)
     decomp = VeroneseDecomposition(mins, deg, support, bounds)
-    compositions = _bounded_compositions(bounds, deg)
-    if len(compositions) != len(mem):
-        return None
-    for e in compositions:
-        vec = list(mins)
-        for idx, val in zip(support, e):
-            vec[idx - 1] += val
-        if tuple(vec) not in mem:
-            return None
-    return decomp
+    return decomp if decomp.expand() == mem else None
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +262,6 @@ def search_sep_counterexample(
     graph: Graph,
     cap_max: int,
     workers: int = 1,
-    grid_limit: int = DEFAULT_GRID_LIMIT,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
     """First cap vector (ascending lex over {1..cap_max}^n) whose generator
@@ -286,10 +276,8 @@ def search_sep_counterexample(
     if cap_max < 1:
         raise ValueError(f"cap_max must be >= 1, got {cap_max}")
     total = cap_max ** graph.n
-    if total > grid_limit:
-        raise BudgetError(
-            f"grid of {total} cap vectors exceeds the limit {grid_limit}"
-        )
+    if total > GRID_LIMIT:
+        raise BudgetError(f"grid of {total} cap vectors exceeds the limit {GRID_LIMIT}")
     if workers <= 1:
         return _search_range(graph, cap_max, 0, total, node_budget)
 

@@ -46,9 +46,14 @@ class Graph:
                 )
             covered.add(u)
             covered.add(v)
-        missing = sorted(set(range(1, self.n + 1)) - covered)
-        if missing:
-            raise GraphError(f"isolated vertices not allowed: {missing}")
+        count = self.n - len(covered)
+        if count:
+            # The first 10 uncovered vertices lie within 1..len(covered) + 10,
+            # so a huge n costs nothing here.
+            stop = min(self.n, len(covered) + 10) + 1
+            first = [v for v in range(1, stop) if v not in covered][:10]
+            more = f" (first 10 of {count})" if count > 10 else ""
+            raise GraphError(f"isolated vertices not allowed: {first}{more}")
 
     @cached_property
     def sorted_edges(self) -> tuple:

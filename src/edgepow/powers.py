@@ -18,10 +18,16 @@ fast at this scale:
 * the bound ``best <= sum(residual) // 2``, which both prunes and lets the
   multiplicity loop stop early once attained.
 
-Generator enumeration reruns the same search at the fixed depth delta,
-pruned by the memoized bound, deduplicating exponent vectors.  A separate
-brute-force oracle enumerates edge multisets naively (no pruning, no
-memoization) and is used to cross-check the engine on small instances.
+All three searches step through the same states: ``_child`` takes edge i
+t times and zeroes the caps of the vertices that edge i is the last one
+for.  Generator enumeration walks these states at the fixed depth delta,
+pruned by the memoized bound, deduplicating exponent vectors.
+Decomposition reads the memo greedily: ``need`` edges under caps ``vec``
+have product exactly ``vec``, so at each edge the highest multiplicity
+that leaves ``need`` edges reachable is taken, and never undone.  A
+separate brute-force oracle enumerates edge multisets naively (no
+pruning, no memoization) and is used to cross-check the engine on small
+instances.
 """
 from __future__ import annotations
 
@@ -141,29 +147,34 @@ class PowerEngine:
         self.nodes = 0
         self._memo = {}
         self._pos = tuple((u - 1, v - 1) for u, v in graph.sorted_edges)
-        m = len(self._pos)
         last = {}
         for i, (u, v) in enumerate(self._pos):
             last[u] = i
             last[v] = i
-        dying = [[] for _ in range(m)]
+        dying = [[] for _ in self._pos]
         for p, i in last.items():
             dying[i].append(p)
         self._dying = tuple(tuple(sorted(d)) for d in dying)
-        alive = [True] * graph.n
-        alive_at = [tuple(alive)]
-        for i in range(m):
-            for p in dying[i]:
-                alive[p] = False
-            alive_at.append(tuple(alive))
-        self._alive = tuple(alive_at)
 
-    def _charge(self, extra_info=""):
+    def _charge(self, found=None):
+        """Count one search node; ``found`` is the enumeration's result set."""
         self.nodes += 1
         if self.nodes > self.node_budget:
-            raise BudgetError(
-                f"node budget {self.node_budget} exhausted{extra_info}"
+            where = "" if found is None else (
+                f" (enumeration, {len(found)} generators so far)"
             )
+            raise BudgetError(f"node budget {self.node_budget} exhausted{where}")
+
+    def _child(self, i, res, t):
+        """The state after taking edge i t times: caps of vertices with no
+        edge after i are zeroed, since nothing can consume them any more."""
+        u, v = self._pos[i]
+        nxt = list(res)
+        nxt[u] -= t
+        nxt[v] -= t
+        for p in self._dying[i]:
+            nxt[p] = 0
+        return tuple(nxt)
 
     def _best(self, i, res):
         """Max edges placeable from edge index i under (dead-masked) residual caps."""
@@ -180,15 +191,9 @@ class PowerEngine:
             self._memo[key] = 0
             return 0
         u, v = self._pos[i]
-        dying = self._dying[i]
         best = 0
         for t in range(min(res[u], res[v]), -1, -1):
-            nxt = list(res)
-            nxt[u] -= t
-            nxt[v] -= t
-            for p in dying:
-                nxt[p] = 0
-            got = t + self._best(i + 1, tuple(nxt))
+            got = t + self._best(i + 1, self._child(i, res, t))
             if got > best:
                 best = got
                 if best >= ub:
@@ -201,38 +206,37 @@ class PowerEngine:
         return self._best(0, caps)
 
     def generators(self, caps) -> GeneratorSet:
+        """Every product of ``delta`` edges under the caps, found by walking
+        ``_best``'s own states and pruning those that cannot reach delta."""
         caps = as_caps(self.graph, caps)
         depth = self._best(0, caps)
         found = set()
-        res = list(caps)
+        prod = [0] * self.graph.n
         pos = self._pos
         m = len(pos)
-        alive = self._alive
 
-        def go(i, need):
-            self._charge(f" (enumeration, {len(found)} generators so far)")
+        def go(i, res, need):
+            self._charge(found)
             if need == 0:
-                found.add(tuple(c - r for c, r in zip(caps, res)))
+                found.add(tuple(prod))
                 return
-            if i == m:
-                return
-            masked = tuple(r if a else 0 for r, a in zip(res, alive[i]))
-            if self._best(i, masked) < need:
+            if i == m or self._best(i, res) < need:
                 return
             u, v = pos[i]
             for t in range(min(res[u], res[v], need), -1, -1):
-                res[u] -= t
-                res[v] -= t
-                go(i + 1, need - t)
-                res[u] += t
-                res[v] += t
+                prod[u] += t
+                prod[v] += t
+                go(i + 1, self._child(i, res, t), need - t)
+                prod[u] -= t
+                prod[v] -= t
 
-        go(0, depth)
+        go(0, caps, depth)
         return GeneratorSet(self.graph, caps, depth, frozenset(found))
 
     def decompose(self, vec):
         """First edge multiset (canonical order, high multiplicities first)
-        whose product is exactly ``vec``, or None."""
+        whose product is exactly ``vec``, or None.  Greedy over the exact
+        memo, as the module docstring explains: no backtracking."""
         vec = tuple(vec)
         if len(vec) != self.graph.n:
             raise ValueError(
@@ -244,40 +248,20 @@ class PowerEngine:
         if total % 2:
             raise ValueError(f"degree {total} is odd; no edge multiset can match")
         need = total // 2
-        res = list(vec)
-        pos = self._pos
-        m = len(pos)
-        alive = self._alive
+        if self._best(0, vec) < need:
+            return None
         chosen = []
-
-        def go(i, need):
-            if need == 0:
-                return all(r == 0 for r in res)
-            if i == m:
-                return False
-            masked = tuple(r if a else 0 for r, a in zip(res, alive[i]))
-            if self._best(i, masked) < need:
-                return False
-            u, v = pos[i]
+        i, res = 0, vec
+        while need:
+            u, v = self._pos[i]
             for t in range(min(res[u], res[v], need), -1, -1):
-                res[u] -= t
-                res[v] -= t
-                if all(res[p] == 0 for p in self._dying[i]):
-                    if t:
-                        chosen.append((self.graph.sorted_edges[i], t))
-                    if go(i + 1, need - t):
-                        return True
-                    if t:
-                        chosen.pop()
-                res[u] += t
-                res[v] += t
-            return False
-
-        if need == 0:
-            return EdgeMultiset(())
-        if go(0, need):
-            return EdgeMultiset(tuple(chosen))
-        return None
+                child = self._child(i, res, t)
+                if t + self._best(i + 1, child) >= need:
+                    break
+            if t:
+                chosen.append((self.graph.sorted_edges[i], t))
+            i, res, need = i + 1, child, need - t
+        return EdgeMultiset(tuple(chosen))
 
 
 def normalize_caps(g: Graph, caps) -> tuple:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from edgepow import (
+    EdgeMultiset,
     ExchangeReport,
     ExchangeWitness,
     GeneratorSet,
@@ -142,6 +143,26 @@ def validate_generator_set(gens: GeneratorSet) -> None:
         ems = engine.decompose(mvec)
         if ems is None or ems.size != gens.delta:
             raise AssertionError(f"{mvec} is not a product of {gens.delta} edges")
+
+
+def reference_decompose(g: Graph, vec):
+    """``edge_decompose`` by brute force: the first multiplicity tuple, each
+    edge's count running high to low in lexicographic edge order, whose
+    edges number |vec|/2 and multiply to ``vec``; None if there is none."""
+    n = g.n
+    edges = g.sorted_edges
+    need = sum(vec) // 2
+    ranges = (range(min(vec[u - 1], vec[v - 1]), -1, -1) for u, v in edges)
+    for counts in product(*ranges):
+        if sum(counts) != need:
+            continue
+        prod = [0] * n
+        for (u, v), t in zip(edges, counts):
+            prod[u - 1] += t
+            prod[v - 1] += t
+        if tuple(prod) == tuple(vec):
+            return EdgeMultiset(tuple((e, t) for e, t in zip(edges, counts) if t))
+    return None
 
 
 # Integer polymatroids: their bases are generator families with the strong

@@ -239,7 +239,7 @@ def test_search_grid_budget():
     from edgepow import BudgetError
 
     with pytest.raises(BudgetError, match="grid"):
-        search_sep_counterexample(cycle(8), 10, grid_limit=1000)
+        search_sep_counterexample(cycle(8), 7)
 
 
 # --- polymatroids

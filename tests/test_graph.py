@@ -211,6 +211,18 @@ def test_json_errors():
         parse_graph_json({"n": "3", "edges": []})
 
 
+def test_isolated_vertex_error_is_bounded():
+    # A huge vertex count with one edge names the first few uncovered
+    # vertices and the total, not all two million of them.
+    with pytest.raises(GraphError, match="isolated vertices not allowed") as exc:
+        parse_graph_json({"n": 2_000_000, "edges": [[1, 2]]})
+    text = str(exc.value)
+    assert len(text) < 200
+    assert "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in text and "1999998" in text
+    with pytest.raises(GraphError, match=r"not allowed: \[3, 4\]$"):
+        graph_from_edges(4, [(1, 2)])
+
+
 def test_star_center_labeling():
     g = star(4)
     assert g.neighbors(5) == frozenset({1, 2, 3, 4})

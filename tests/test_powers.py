@@ -12,6 +12,7 @@ from edgepow import (
     edge_decompose,
     enumerate_generators,
     format_monomial,
+    from_spec,
     graph_from_edges,
     member,
     normalize_caps,
@@ -20,7 +21,12 @@ from edgepow import (
     star,
     template,
 )
-from helpers import random_caps, random_connected_graph, validate_generator_set
+from helpers import (
+    random_caps,
+    random_connected_graph,
+    reference_decompose,
+    validate_generator_set,
+)
 
 K2 = graph_from_edges(2, [(1, 2)])
 
@@ -210,6 +216,26 @@ def test_membership_equals_capped_decomposability():
             assert member(w, vec) == expected
 
 
+def test_decompose_matches_brute_force_reference():
+    # Members of W and random even-degree vectors, most of which are not
+    # products of edges.
+    rng = random.Random(23)
+    pairs = nones = 0
+    while pairs < 320:
+        g = random_connected_graph(rng, n_max=6, extra_max=2)
+        vecs = sorted(enumerate_generators(g, random_caps(rng, g.n, 2)).members)[:2]
+        for _ in range(2):
+            vec = [rng.randint(0, 2) for _ in range(g.n)]
+            vec[0] += sum(vec) % 2
+            vecs.append(tuple(vec))
+        for vec in vecs:
+            got = edge_decompose(g, vec)
+            assert got == reference_decompose(g, vec), (g.sorted_edges, vec)
+            pairs += 1
+            nones += got is None
+    assert nones >= 50
+
+
 # --- oracle agreement
 
 def test_oracle_bound():
@@ -248,6 +274,36 @@ def test_node_budget_enforced():
     engine = PowerEngine(g, node_budget=10)
     with pytest.raises(BudgetError, match="budget"):
         engine.generators((2,) * 9)
+
+
+def test_budget_message_names_enumeration_progress():
+    engine = PowerEngine(cycle(9), node_budget=60)
+    with pytest.raises(BudgetError) as exc:
+        engine.generators((2,) * 9)
+    assert str(exc.value) == "node budget 60 exhausted (enumeration, 1 generators so far)"
+    assert engine.nodes == 61
+    engine = PowerEngine(from_spec("multipartite:3,3,3"), node_budget=2000)
+    with pytest.raises(BudgetError) as exc:
+        engine.generators((3, 1, 3, 2, 2, 3, 3, 3, 3))
+    assert str(exc.value) == (
+        "node budget 2000 exhausted (enumeration, 3 generators so far)"
+    )
+    assert engine.nodes == 2001
+
+
+@pytest.mark.parametrize(
+    "spec, caps, nodes, memo",
+    [
+        ("cycle:9", (2,) * 9, 85, 65),
+        ("template:c3pathpend", (1, 1, 1, 2, 1, 1, 1), 47, 19),
+    ],
+)
+def test_generators_node_and_memo_counts(spec, caps, nodes, memo):
+    # Enumeration visits and memoizes exactly these states; a change in
+    # either count means the search itself changed.
+    engine = PowerEngine(from_spec(spec))
+    engine.generators(caps)
+    assert (engine.nodes, len(engine._memo)) == (nodes, memo)
 
 
 def test_engine_memo_shared_across_caps():
