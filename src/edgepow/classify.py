@@ -27,7 +27,14 @@ from itertools import combinations
 
 from . import corpus
 from .exchange import ExchangeReport, check_strong_exchange, search_sep_counterexample
-from .graph import Graph, GraphError, independence_number, structure_probe
+from .graph import (
+    Graph,
+    GraphError,
+    independence_number,
+    induced_subgraph,
+    peel_leaves,
+    structure_probe,
+)
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, PowerEngine
 
 CMM_STEP_LIMIT = 1_000_000
@@ -74,10 +81,11 @@ def _star_whisker_center(g: Graph):
         count = 1 + len(spokes)
         ok = True
         for u in spokes:
-            tips = g.neighbors(u) - {center}
-            if len(tips) > 1:
+            # degree first: the tip set of a hub would cost its whole degree
+            if g.degrees[u - 1] > 2:
                 ok = False
                 break
+            tips = g.neighbors(u) - {center}
             for w in tips:
                 if g.degree(w) != 1:
                     ok = False
@@ -251,7 +259,7 @@ def classify_complete_multipartite_minus_matching(g: Graph):
             raise BudgetExceeded
         rest = [v for v in range(1, n + 1) if v not in part_of]
         if not rest:
-            return _matching_ok()
+            return True
         u = rest[0]
         candidates = [None] + sorted(comp[u - 1])
         for partner in candidates:
@@ -277,16 +285,6 @@ def classify_complete_multipartite_minus_matching(g: Graph):
             for v in block:
                 del part_of[v]
         return False
-
-    def _matching_ok():
-        degree = {}
-        for v in range(1, n + 1):
-            for w in comp[v - 1]:
-                if part_of[v] != part_of[w]:
-                    degree[v] = degree.get(v, 0) + 1
-                    if degree[v] > 1:
-                        return False
-        return True
 
     try:
         found = bt()
@@ -334,32 +332,6 @@ class CrossValidation:
         }
 
 
-def _peel_order(g: Graph, keep):
-    """Leaf-deletion order taking g down to the induced subgraph on ``keep``.
-
-    Returns a list of (leaf, support) pairs in deletion order, or None when
-    some outside vertex can never become a leaf.
-    """
-    keep = set(keep)
-    adj = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
-    alive = set(range(1, g.n + 1))
-    order = []
-    while alive - keep:
-        leaf = None
-        for v in sorted(alive - keep):
-            if len(adj[v]) == 1:
-                leaf = v
-                break
-        if leaf is None:
-            return None
-        support = next(iter(adj[leaf]))
-        order.append((leaf, support))
-        alive.discard(leaf)
-        adj[support].discard(leaf)
-        del adj[leaf]
-    return order
-
-
 def lift_failing_caps(g: Graph, base_graph: Graph, base_caps):
     """Transplant a failing cap vector from an induced copy of ``base_graph``.
 
@@ -374,29 +346,24 @@ def lift_failing_caps(g: Graph, base_graph: Graph, base_caps):
         return None
     engine = PowerEngine(g)
     for subset in combinations(range(1, g.n + 1), base_graph.n):
-        sub_edges = [
-            (u, v) for u, v in g.sorted_edges if u in subset and v in subset
-        ]
-        if len(sub_edges) != len(base_graph.edges):
+        inside = set(subset)
+        # counting induced edges is much cheaper than building the copy
+        induced = [1 for u, v in g.edges if u in inside and v in inside]
+        if len(induced) != len(base_graph.edges):
             continue
-        relabel = {old: i + 1 for i, old in enumerate(subset)}
         try:
-            sub = Graph(
-                base_graph.n,
-                frozenset((relabel[u], relabel[v]) for u, v in sub_edges),
-            )
+            sub, _ = induced_subgraph(g, subset)
         except GraphError:
             continue
         iso = corpus.find_isomorphism(base_graph, sub)
         if iso is None:
             continue
-        order = _peel_order(g, subset)
-        if order is None:
+        order, left = peel_leaves(g, subset)
+        if left != inside:
             continue
-        back = {v: old for old, v in relabel.items()}
         caps = {}
         for bv, cap in zip(range(1, base_graph.n + 1), base_caps):
-            caps[back[iso[bv]]] = cap
+            caps[subset[iso[bv] - 1]] = cap  # sub keeps subset's label order
         for leaf, support in reversed(order):
             caps[support] += 1
             caps[leaf] = 1

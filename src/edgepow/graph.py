@@ -8,15 +8,23 @@ complete multipartite graphs minus a matching, a table of named small
 graphs), structural probes (connectivity, tree/unicyclic detection with the
 unique cycle), the independence number, and induced-subgraph operations
 with explicit renumbering maps.
+
+Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
+recursion): a unicyclic graph peels down to its unique cycle, and fixture
+lifting re-attaches leaves in its order.  Family constructors, and so
+inline specs, refuse more than ``MAX_FAMILY_SIZE`` vertices or edges
+before building anything.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 MAX_SEARCH_VERTICES = 32
+MAX_FAMILY_SIZE = 200_000  # vertices or edges of a family graph (inline spec)
 
 
 class GraphError(ValueError):
@@ -124,10 +132,19 @@ def graph_from_edges(n: int, edges) -> Graph:
 # ---------------------------------------------------------------------------
 # Families
 
+def _check_size(n: int, m: int):
+    if max(n, m) > MAX_FAMILY_SIZE:
+        raise GraphError(
+            f"graph would have {n} vertices and {m} edges; "
+            f"the limit is {MAX_FAMILY_SIZE} of each"
+        )
+
+
 def cycle(n: int) -> Graph:
     """Cycle x1-x2-...-xn-x1; requires n >= 3."""
     if n < 3:
         raise GraphError(f"cycle needs length >= 3, got {n}")
+    _check_size(n, n)
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     return graph_from_edges(n, edges)
 
@@ -136,6 +153,7 @@ def path(n: int) -> Graph:
     """Path x1-x2-...-xn; requires n >= 2."""
     if n < 2:
         raise GraphError(f"path needs >= 2 vertices, got {n}")
+    _check_size(n, n - 1)
     return graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
 
 
@@ -143,6 +161,7 @@ def star(n_leaves: int) -> Graph:
     """Star with center x_{n+1} joined to leaves x1..xn."""
     if n_leaves < 1:
         raise GraphError(f"star needs >= 1 leaf, got {n_leaves}")
+    _check_size(n_leaves + 1, n_leaves)
     c = n_leaves + 1
     return graph_from_edges(c, [(i, c) for i in range(1, c)])
 
@@ -159,6 +178,7 @@ def star_whisker(n_leaves: int, n_whiskers: int) -> Graph:
             f"whisker count must be between 0 and {n_leaves}, got {n_whiskers}"
         )
     n = n_leaves + n_whiskers + 1
+    _check_size(n, n - 1)
     center = n
     edges = [(i, center) for i in range(1, n_leaves + 1)]
     edges += [(i, n_leaves + i) for i in range(1, n_whiskers + 1)]
@@ -172,6 +192,7 @@ def forked_path(n: int) -> Graph:
     """
     if n < 2:
         raise GraphError(f"forked_path needs a path on >= 2 vertices, got {n}")
+    _check_size(n + 4, n + 3)
     edges = [(i, i + 1) for i in range(1, n)]
     edges += [(1, n + 1), (1, n + 2), (n, n + 3), (n, n + 4)]
     return graph_from_edges(n + 4, edges)
@@ -189,6 +210,7 @@ def complete_multipartite(parts, matching=()) -> Graph:
     if len(parts) < 2 or any(p < 1 for p in parts):
         raise GraphError(f"need >= 2 parts, each of size >= 1, got {parts}")
     n = sum(parts)
+    _check_size(n, (n * n - sum(p * p for p in parts)) // 2)
     block = {}
     v = 1
     for i, p in enumerate(parts):
@@ -287,7 +309,7 @@ def from_spec(spec: str) -> Graph:
                     a, _, b = pair.partition("-")
                     matching.append((int(a), int(b)))
             return complete_multipartite(parts, matching)
-        if tag in ("template", "fixture"):
+        if tag == "template":
             return template(arg.strip())
     except GraphError:
         raise
@@ -330,38 +352,43 @@ def _components(g: Graph):
     return tuple(comps)
 
 
+def peel_leaves(g: Graph, keep=()) -> tuple:
+    """Delete leaves outside ``keep`` one at a time, smallest label first.
+
+    A vertex is a leaf when exactly one of its neighbours is still present.
+    Returns ``(order, left)``: the ``(leaf, support)`` pairs in deletion
+    order and the set of vertices never deleted.  Peeling reaches ``keep``
+    exactly when ``left == set(keep)``.  With ``keep`` empty a unicyclic
+    graph peels down to its cycle and a tree to one vertex.
+    """
+    keep = set(keep)
+    present = set(range(1, g.n + 1))
+    degree = list(g.degrees)
+    heap = [v for v in present - keep if degree[v - 1] == 1]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        leaf = heapq.heappop(heap)
+        if degree[leaf - 1] != 1:
+            continue  # a tree's last vertex, once its last neighbour is gone
+        present.discard(leaf)
+        support = next(w for w in g.adjacency[leaf - 1] if w in present)
+        order.append((leaf, support))
+        degree[support - 1] -= 1
+        if degree[support - 1] == 1 and support not in keep:
+            heapq.heappush(heap, support)
+    return order, present
+
+
 def _unique_cycle(g: Graph):
-    """Vertices of the unique cycle of a unicyclic graph, in canonical order."""
-    color = [0] * (g.n + 1)
-    parent = [0] * (g.n + 1)
-    found = []
-
-    def dfs(u, par):
-        color[u] = 1
-        for w in sorted(g.adjacency[u - 1]):
-            if found:
-                return
-            if w == par:
-                continue
-            if color[w] == 1:
-                cyc = [u]
-                x = u
-                while x != w:
-                    x = parent[x]
-                    cyc.append(x)
-                found.append(cyc)
-                return
-            if color[w] == 0:
-                parent[w] = u
-                dfs(w, u)
-        color[u] = 2
-
-    dfs(1, 0)
-    cyc = found[0]
-    k = cyc.index(min(cyc))
-    cyc = cyc[k:] + cyc[:k]
-    if cyc[1] > cyc[-1]:
-        cyc = [cyc[0]] + cyc[:0:-1]
+    """The unique cycle from its least vertex towards the smaller neighbour."""
+    _, core = peel_leaves(g)
+    start = min(core)
+    cyc = [start]
+    prev, cur = start, min(g.adjacency[start - 1] & core)
+    while cur != start:
+        cyc.append(cur)
+        prev, cur = cur, next(w for w in g.adjacency[cur - 1] & core if w != prev)
     return tuple(cyc)
 
 
@@ -433,11 +460,11 @@ def induced_subgraph(g: Graph, keep) -> tuple:
     if len(keep) < 2:
         raise GraphError("induced subgraph needs at least 2 vertices")
     mapping = {old: i + 1 for i, old in enumerate(keep)}
-    kept = set(keep)
+    # the mapping keeps label order, so g's edges stay ordered distinct pairs
     edges = [
-        (mapping[u], mapping[v]) for u, v in g.sorted_edges if u in kept and v in kept
+        (mapping[u], mapping[v]) for u, v in g.edges if u in mapping and v in mapping
     ]
-    return graph_from_edges(len(keep), edges), mapping
+    return Graph(len(keep), frozenset(edges)), mapping
 
 
 def delete_vertex(g: Graph, v: int) -> tuple:

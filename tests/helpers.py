@@ -351,3 +351,68 @@ def reference_sym_exchange_binomials(w) -> tuple:
                     lo, hi = min(p, q), max(p, q)
                     out.add(SymExchangeBinomial(lo[0], lo[1], hi[0], hi[1]))
     return tuple(sorted(out))
+
+
+# Reference leaf structure: the recursive colour/parent DFS for the unique
+# cycle and the rescanning leaf-deletion loop, as they stood before both
+# became `graph.peel_leaves`.
+
+def reference_unique_cycle(g: Graph):
+    """Vertices of the unique cycle of a unicyclic graph, in canonical order."""
+    color = [0] * (g.n + 1)
+    parent = [0] * (g.n + 1)
+    found = []
+
+    def dfs(u, par):
+        color[u] = 1
+        for w in sorted(g.adjacency[u - 1]):
+            if found:
+                return
+            if w == par:
+                continue
+            if color[w] == 1:
+                cyc = [u]
+                x = u
+                while x != w:
+                    x = parent[x]
+                    cyc.append(x)
+                found.append(cyc)
+                return
+            if color[w] == 0:
+                parent[w] = u
+                dfs(w, u)
+        color[u] = 2
+
+    dfs(1, 0)
+    cyc = found[0]
+    k = cyc.index(min(cyc))
+    cyc = cyc[k:] + cyc[:k]
+    if cyc[1] > cyc[-1]:
+        cyc = [cyc[0]] + cyc[:0:-1]
+    return tuple(cyc)
+
+
+def reference_peel_order(g: Graph, keep):
+    """Leaf-deletion order taking g down to the induced subgraph on ``keep``.
+
+    Returns a list of (leaf, support) pairs in deletion order, or None when
+    some outside vertex can never become a leaf.
+    """
+    keep = set(keep)
+    adj = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
+    alive = set(range(1, g.n + 1))
+    order = []
+    while alive - keep:
+        leaf = None
+        for v in sorted(alive - keep):
+            if len(adj[v]) == 1:
+                leaf = v
+                break
+        if leaf is None:
+            return None
+        support = next(iter(adj[leaf]))
+        order.append((leaf, support))
+        alive.discard(leaf)
+        adj[support].discard(leaf)
+        del adj[leaf]
+    return order

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from edgepow import (
@@ -39,6 +41,23 @@ def test_classify_path(n, sep):
 
 
 # --- trees
+
+def test_closed_forms_answer_on_large_graphs():
+    # the unique cycle and the star centre are found in linear time
+    start = time.perf_counter()
+    assert classify_graph(cycle(1000)).to_json() == {
+        "sep": False,
+        "rule": "cycle(>=8)",
+        "detail": {"n": 1000},
+    }
+    verdict = classify_graph(star(100000))
+    assert time.perf_counter() - start < 15
+    assert verdict.to_json() == {
+        "sep": True,
+        "rule": "tree(ii)",
+        "detail": {"center": 100001, "whiskered_leaves": []},
+    }
+
 
 def test_tree_p6_rule():
     verdict = classify_tree(path(6))

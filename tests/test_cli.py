@@ -72,6 +72,18 @@ def test_classify_json(capsys):
     }
 
 
+def test_classify_registered_fixture(capsys):
+    code, out, _ = run(capsys, "classify", "fixture:cyc8")
+    assert code == 0
+    assert json.loads(out) == {"sep": False, "rule": "cycle(>=8)", "detail": {"n": 8}}
+
+
+def test_over_limit_spec_exits_1_with_one_line(capsys):
+    code, out, err = run(capsys, "delta", "cycle:500000", "--caps", "1,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
+
+
 def test_search_modes(capsys):
     code, out, _ = run(capsys, "search", "path:7", "--cap-max", "2")
     assert code == 2 and "counterexample" in out

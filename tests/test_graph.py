@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,9 @@ from edgepow import (
     structure_probe,
     template,
 )
-from helpers import random_connected_graph
+from edgepow import corpus
+from edgepow.graph import MAX_FAMILY_SIZE, peel_leaves
+from helpers import random_connected_graph, reference_peel_order, reference_unique_cycle
 
 
 def test_rejects_loops_duplicates_isolated():
@@ -142,6 +145,42 @@ def test_structure_probe_disconnected():
     assert probe.components == ((1, 2), (3, 4))
 
 
+def test_unique_cycle_matches_reference_dfs():
+    rng = random.Random(11)
+    graphs = corpus.unicyclic_up_to(8)
+    assert len(graphs) == 143
+    for g in graphs:
+        for _ in range(3):
+            perm = list(range(1, g.n + 1))
+            rng.shuffle(perm)
+            h = graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            assert structure_probe(h).cycle == reference_unique_cycle(h)
+
+
+def test_peel_leaves_matches_reference_order():
+    rng = random.Random(5)
+    stuck = 0
+    for _ in range(600):
+        g = random_connected_graph(rng, n_min=2, n_max=9, extra_max=rng.randint(0, 3))
+        keep = set(rng.sample(range(1, g.n + 1), rng.randint(0, g.n)))
+        want = reference_peel_order(g, keep)
+        order, left = peel_leaves(g, keep)
+        assert left >= keep
+        if want is None:
+            stuck += 1
+            assert left != keep
+        else:
+            assert (order, left) == (want, keep)
+    assert stuck >= 100
+
+
+def test_peel_leaves_of_a_tree_leaves_one_vertex():
+    order, left = peel_leaves(path(4))
+    assert order == [(1, 2), (2, 3), (3, 4)] and left == {4}
+    order, left = peel_leaves(graph_from_edges(2, [(1, 2)]))
+    assert order == [(1, 2)] and left == {2}
+
+
 def test_delete_leaf_of_template():
     g = template("c3pathpend")
     h, mapping = delete_vertex(g, 7)
@@ -159,6 +198,31 @@ def test_delete_renumbers_with_mapping():
     h, mapping = delete_vertex(path(3), 1)
     assert mapping == {2: 1, 3: 2}
     assert h.edges == frozenset({(1, 2)})
+
+
+def test_from_spec_has_no_fixture_family():
+    # registered fixtures are resolved by the CLI, not by the spec parser
+    with pytest.raises(GraphError, match="unknown graph family 'fixture'"):
+        from_spec("fixture:cyc8")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cycle:500000",
+        f"path:{MAX_FAMILY_SIZE + 1}",
+        f"star:{MAX_FAMILY_SIZE}",
+        "star_whisker:150000,60000",
+        "forkedpath:1000000",
+        "multipartite:1000,1000",
+    ],
+)
+def test_over_limit_spec_is_refused_before_building(spec):
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="limit") as info:
+        from_spec(spec)
+    assert time.perf_counter() - start < 0.1
+    assert "\n" not in str(info.value) and len(str(info.value)) < 120
 
 
 def test_from_spec_multipartite():
