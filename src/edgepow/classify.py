@@ -10,7 +10,8 @@ tags:
 * tree(i): the 6-vertex path; tree(ii): a star with at most one pendant
   edge per leaf; tree(none)
 * unicyclic(i): cycle length >= 8, never;
-  unicyclic(ii): cycle length 5..7, decided by independence number <= 3;
+  unicyclic(ii): cycle length 5..7, decided by independence number <= 3
+  (exact in linear time through two forests, at any size);
   unicyclic(iii)(1|2|3): cycle length 4 templates;
   unicyclic(iv)(1|2|3): cycle length 3 templates; (none) otherwise.
 
@@ -30,7 +31,6 @@ from .exchange import ExchangeReport, check_strong_exchange, search_sep_countere
 from .graph import (
     Graph,
     GraphError,
-    independence_number,
     induced_subgraph,
     peel_leaves,
     structure_probe,
@@ -137,6 +137,34 @@ def _leg_profile(g: Graph, root: int, cycle_set):
     return tuple(sorted(legs))
 
 
+def _unicyclic_independence(g: Graph, a: int) -> int:
+    """max(alpha(G - a), 1 + alpha(G - N[a])) for ``a`` on the unique cycle.
+
+    Both sides are forests, where greedy leaf-taking is exact: some maximum
+    independent set holds any vertex with at most one neighbour left.
+    """
+
+    def forest(left):
+        degree = {v: len(g.adjacency[v - 1] & left) for v in left}
+        stack = [v for v in left if degree[v] <= 1]
+        size = 0
+        while stack:
+            v = stack.pop()
+            if v in left:
+                size += 1
+                gone = g.adjacency[v - 1] & left | {v}
+                left -= gone
+                for w in gone:
+                    for x in g.adjacency[w - 1] & left:
+                        degree[x] -= 1
+                        if degree[x] == 1:
+                            stack.append(x)
+        return size
+
+    rest = set(range(1, g.n + 1)) - {a}
+    return max(forest(set(rest)), 1 + forest(rest - g.adjacency[a - 1]))
+
+
 def classify_unicyclic(g: Graph) -> ClassificationVerdict:
     probe = structure_probe(g)
     if not probe.is_unicyclic:
@@ -146,7 +174,7 @@ def classify_unicyclic(g: Graph) -> ClassificationVerdict:
     if ell >= 8:
         return ClassificationVerdict(False, "unicyclic(i)", {"cycle_length": ell})
     if ell in (5, 6, 7):
-        alpha = independence_number(g)
+        alpha = _unicyclic_independence(g, cyc[0])
         return ClassificationVerdict(
             alpha <= 3,
             "unicyclic(ii)",
@@ -249,14 +277,13 @@ def classify_complete_multipartite_minus_matching(g: Graph):
     parts = []
     steps = 0
 
-    class BudgetExceeded(Exception):
-        pass
-
     def bt():
         nonlocal steps
         steps += 1
         if steps > CMM_STEP_LIMIT:
-            raise BudgetExceeded
+            raise BudgetError(
+                f"complete-multipartite recognition exceeded {CMM_STEP_LIMIT} steps"
+            )
         rest = [v for v in range(1, n + 1) if v not in part_of]
         if not rest:
             return True
@@ -286,13 +313,7 @@ def classify_complete_multipartite_minus_matching(g: Graph):
                 del part_of[v]
         return False
 
-    try:
-        found = bt()
-    except BudgetExceeded:
-        raise BudgetError(
-            f"complete-multipartite recognition exceeded {CMM_STEP_LIMIT} steps"
-        ) from None
-    if not found:
+    if not bt():
         return None
     matching = sorted(
         {

@@ -112,9 +112,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_search(args) -> int:
     g = _resolve_graph(args.graph)
-    found = search_sep_counterexample(
-        g, args.cap_max, workers=args.threads, node_budget=args.budget
-    )
+    found = search_sep_counterexample(g, args.cap_max, node_budget=args.budget)
     if found is None:
         if args.json:
             print(json.dumps({"counterexample": None}))
@@ -249,7 +247,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("search", help="cap-grid counterexample search")
     p.add_argument("graph")
     p.add_argument("--cap-max", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        help="accepted for compatibility; the search runs in one process",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 

@@ -21,13 +21,12 @@ the bounds) and verifies it, so presence of the decomposition and the
 strong verdict can be cross-checked independently.
 
 The module also hosts the cap-grid counterexample search for the strong
-property over a whole graph.
+property over a whole graph, one in-process walk on one shared engine.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, permutations, product
+from itertools import permutations, product
 
 from .graph import Graph
 from .powers import (
@@ -241,23 +240,6 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
 # ---------------------------------------------------------------------------
 # Cap-grid counterexample search
 
-def _search_range(graph, cap_max, start, stop, node_budget):
-    """First failing cap vector among grid cells start..stop-1 (ascending
-    lex over {1..cap_max}^n), with its report, or None."""
-    engine = PowerEngine(graph, node_budget)
-    seen = set()
-    grid = product(range(1, cap_max + 1), repeat=graph.n)
-    for caps in islice(grid, start, stop):
-        norm = normalize_caps(graph, caps)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        report = check_strong_exchange(engine.generators(norm))
-        if not report.ok:
-            return caps, report
-    return None
-
-
 def search_sep_counterexample(
     graph: Graph,
     cap_max: int,
@@ -268,31 +250,24 @@ def search_sep_counterexample(
     set fails the strong exchange property, with its report; None if the
     whole grid passes.
 
-    Cap vectors sharing a normal form share a generator set, so each normal
-    form is evaluated once.  With ``workers > 1`` the grid is split into
-    contiguous ranges evaluated in separate processes; the first failure in
-    grid order wins, so results do not depend on the worker count.
+    One engine's memo serves the whole grid, and cap vectors sharing a
+    normal form share a generator set, so each normal form is evaluated
+    once.  ``workers`` is accepted for compatibility; the search runs in
+    one process.
     """
     if cap_max < 1:
         raise ValueError(f"cap_max must be >= 1, got {cap_max}")
     total = cap_max ** graph.n
     if total > GRID_LIMIT:
         raise BudgetError(f"grid of {total} cap vectors exceeds the limit {GRID_LIMIT}")
-    if workers <= 1:
-        return _search_range(graph, cap_max, 0, total, node_budget)
-
-    nchunks = workers * 4
-    step = (total + nchunks - 1) // nchunks
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_search_range, graph, cap_max, k, k + step, node_budget)
-            for k in range(0, total, step)
-        ]
-        hit = None
-        for fut in futures:
-            hit = fut.result()
-            if hit is not None:
-                break
-        for fut in futures:
-            fut.cancel()
-    return hit
+    engine = PowerEngine(graph, node_budget)
+    seen = set()
+    for caps in product(range(1, cap_max + 1), repeat=graph.n):
+        norm = normalize_caps(graph, caps)
+        if norm in seen:
+            continue
+        seen.add(norm)
+        report = check_strong_exchange(engine.generators(norm))
+        if not report.ok:
+            return caps, report
+    return None

@@ -11,9 +11,9 @@ with explicit renumbering maps.
 
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion): a unicyclic graph peels down to its unique cycle, and fixture
-lifting re-attaches leaves in its order.  Family constructors, and so
-inline specs, refuse more than ``MAX_FAMILY_SIZE`` vertices or edges
-before building anything.
+lifting re-attaches leaves in its order.  Family constructors (so inline
+specs) and graph files refuse more than ``MAX_FAMILY_SIZE`` vertices or
+edges before building anything.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 
 MAX_SEARCH_VERTICES = 32
-MAX_FAMILY_SIZE = 200_000  # vertices or edges of a family graph (inline spec)
+MAX_FAMILY_SIZE = 200_000  # vertices or edges of a family graph or graph file
 
 
 class GraphError(ValueError):
@@ -488,6 +488,7 @@ def parse_graph_json(data) -> Graph:
     edges = data["edges"]
     if not isinstance(edges, list):
         raise GraphError("'edges' must be a list of pairs")
+    _check_size(n, len(edges))
     return graph_from_edges(n, edges)
 
 

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -13,13 +14,15 @@ from edgepow import (
     cross_validate,
     cycle,
     graph_from_edges,
+    independence_number,
     path,
     star,
     star_whisker,
+    structure_probe,
     template,
 )
 from edgepow import corpus
-from edgepow.classify import lift_failing_caps
+from edgepow.classify import _unicyclic_independence, lift_failing_caps
 from edgepow.fixtures import failing_instances
 
 
@@ -109,6 +112,30 @@ def test_unicyclic_alpha_clause():
     g5 = graph_from_edges(6, list(cycle(5).edges) + [(1, 6)])
     verdict = classify_unicyclic(g5)
     assert verdict.sep and verdict.detail["independence_number"] == 3
+
+
+def test_unicyclic_independence_matches_reference():
+    rng = random.Random(23)
+    graphs = corpus.unicyclic_up_to(8)
+    assert len(graphs) == 143
+    for g in graphs:
+        for _ in range(3):
+            perm = list(range(1, g.n + 1))
+            rng.shuffle(perm)
+            h = graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            want = independence_number(h)
+            for a in structure_probe(h).cycle:
+                assert _unicyclic_independence(h, a) == want
+
+
+def test_unicyclic_alpha_clause_beyond_search_limit():
+    # a 5-cycle with a 40-vertex tail: 45 vertices, past the n <= 32 search
+    g = graph_from_edges(45, list(cycle(5).edges) + [(i, i + 1) for i in range(5, 45)])
+    assert classify_graph(g).to_json() == {
+        "sep": False,
+        "rule": "unicyclic(ii)",
+        "detail": {"cycle_length": 5, "independence_number": 22},
+    }
 
 
 def test_unicyclic_c4_pendant_templates():
@@ -283,6 +310,18 @@ def test_cmm_matches_bounded_search():
     g = complete_multipartite((2, 2), matching=((1, 3),))
     assert classify_complete_multipartite_minus_matching(g) is not None
     assert search_sep_counterexample(g, 2) is None
+
+
+def test_cmm_step_limit_raises_budget_error(monkeypatch):
+    import edgepow.classify as classify_mod
+    from edgepow import BudgetError
+
+    monkeypatch.setattr(classify_mod, "CMM_STEP_LIMIT", 2)
+    g = complete_multipartite((2, 2, 2))
+    with pytest.raises(
+        BudgetError, match=r"^complete-multipartite recognition exceeded 2 steps$"
+    ):
+        classify_complete_multipartite_minus_matching(g)
 
 
 # --- cross validation

@@ -84,6 +84,32 @@ def test_over_limit_spec_exits_1_with_one_line(capsys):
     assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
 
 
+def test_over_limit_graph_file_exits_1_with_one_line(capsys, tmp_path):
+    n = 300_001
+    p = tmp_path / "big.json"
+    p.write_text(
+        json.dumps({"n": n, "edges": [[i, i + 1] for i in range(1, n)] + [[1, n]]})
+    )
+    code, out, err = run(capsys, "delta", str(p), "--caps", "1,1")
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: graph would have {n} vertices and {n} edges; "
+        "the limit is 200000 of each\n"
+    )
+
+
+def test_search_threads_accepted_without_effect(capsys):
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(
+            capsys, "search", "cycle:10", "--cap-max", "3", "--json", "--threads", threads
+        )
+        assert code == 2
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["counterexample"] == [1, 1, 1, 1, 1, 1, 1, 2, 1, 2]
+
+
 def test_search_modes(capsys):
     code, out, _ = run(capsys, "search", "path:7", "--cap-max", "2")
     assert code == 2 and "counterexample" in out

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import edgepow
 from edgepow import (
     check_exchange,
     check_strong_exchange,
@@ -13,6 +18,7 @@ from edgepow import (
     graph_from_edges,
     member,
     path,
+    PowerEngine,
     search_sep_counterexample,
     star,
     sym_exchange_binomials,
@@ -215,14 +221,14 @@ def test_search_k2_clean_any_caps():
 
 
 def test_search_deterministic_across_workers():
-    # {1,2}^7 has 128 cells, split into ranges of 16 (workers=2) or 11
-    # (workers=3); {1,2,3}^5 has 243, in ranges of 31 or 21.
+    # ``workers`` is accepted for compatibility and has no effect: every
+    # worker count walks the same grid in lex order in one process.
     unicyclic7 = graph_from_edges(
         7, [(1, 2), (1, 5), (2, 3), (3, 4), (3, 6), (5, 6), (5, 7)]
     )
     cases = [
-        (path(7), 2, (1, 1, 1, 1, 2, 1, 1)),  # cell 4, in the first range
-        (unicyclic7, 2, (1, 2, 1, 1, 1, 1, 1)),  # cell 32, in the third range
+        (path(7), 2, (1, 1, 1, 1, 2, 1, 1)),  # cell 4
+        (unicyclic7, 2, (1, 2, 1, 1, 1, 1, 1)),  # cell 32
         (path(6), 2, None),
         (cycle(5), 3, None),
     ]
@@ -233,6 +239,38 @@ def test_search_deterministic_across_workers():
             results.append(None if found is None else (found[0], found[1].to_json()))
         assert results[1] == results[0] and results[2] == results[0]
         assert (results[0][0] if results[0] else None) == first_hit
+
+
+def test_search_runs_in_process_at_any_worker_count(monkeypatch):
+    calls = []
+    original = PowerEngine.generators
+
+    def counting(self, caps):
+        calls.append(caps)
+        return original(self, caps)
+
+    monkeypatch.setattr(PowerEngine, "generators", counting)
+    results = []
+    for workers in (1, 2):
+        calls.clear()
+        found = search_sep_counterexample(cycle(10), 3, workers=workers)
+        results.append((len(calls), found[0], found[1].to_json()))
+    assert results[0][0] == 9
+    assert results[1] == results[0]
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, edgepow; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(edgepow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_search_grid_budget():

@@ -277,14 +277,34 @@ def test_json_errors():
 
 def test_isolated_vertex_error_is_bounded():
     # A huge vertex count with one edge names the first few uncovered
-    # vertices and the total, not all two million of them.
+    # vertices and the total, not all two million of them.  (A graph file
+    # that size is refused earlier, by the size limit.)
     with pytest.raises(GraphError, match="isolated vertices not allowed") as exc:
-        parse_graph_json({"n": 2_000_000, "edges": [[1, 2]]})
+        graph_from_edges(2_000_000, [(1, 2)])
     text = str(exc.value)
     assert len(text) < 200
     assert "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in text and "1999998" in text
     with pytest.raises(GraphError, match=r"not allowed: \[3, 4\]$"):
         graph_from_edges(4, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (MAX_FAMILY_SIZE + 1, [[1, 2]]),
+        (4, [[1, 2]] * (MAX_FAMILY_SIZE + 1)),
+    ],
+)
+def test_over_limit_graph_file_is_refused_before_building(n, edges):
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="limit is 200000") as info:
+        parse_graph_json({"n": n, "edges": edges})
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == (
+        f"graph would have {n} vertices and {len(edges)} edges; "
+        f"the limit is {MAX_FAMILY_SIZE} of each"
+    )
+    assert parse_graph_json({"n": 4, "edges": [[1, 2], [3, 4]]}).n == 4
 
 
 def test_star_center_labeling():
