@@ -17,13 +17,14 @@ import sys
 from . import classify as classify_mod
 from . import corpus, fixtures, toric
 from .exchange import (
+    GRID_LIMIT,
     check_exchange,
     check_strong_exchange,
     check_symmetric_exchange,
     detect_veronese,
     search_sep_counterexample,
 )
-from .graph import Graph, GraphError, from_spec, load_graph
+from .graph import MAX_SEARCH_VERTICES, Graph, GraphError, from_spec, load_graph
 from .powers import (
     DEFAULT_NODE_BUDGET,
     BudgetError,
@@ -171,6 +172,12 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    # refuse before enumerating a corpus the engine or the cap grid would refuse
+    if args.max_n > MAX_SEARCH_VERTICES or args.cap_max ** args.max_n > GRID_LIMIT:
+        raise ValueError(
+            f"scan of n <= {args.max_n} with caps <= {args.cap_max} exceeds the limits "
+            f"of {MAX_SEARCH_VERTICES} vertices and {GRID_LIMIT} cap vectors per graph"
+        )
     graphs = corpus.unicyclic_up_to(args.max_n)
     report = toric.conjecture_scan(graphs, args.cap_max, args.m_max)
     if args.json:

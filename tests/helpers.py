@@ -416,3 +416,47 @@ def reference_peel_order(g: Graph, keep):
         adj[support].discard(leaf)
         del adj[leaf]
     return order
+
+
+# Reference corpus: networkx's tree generator and the degree-profile bucket
+# plus `nx.is_isomorphic` deduplication that `corpus.all_unicyclic` replaced.
+
+def _from_networkx(nxg) -> Graph:
+    relabel = {v: i + 1 for i, v in enumerate(sorted(nxg.nodes()))}
+    return graph_from_edges(len(relabel), [(relabel[u], relabel[v]) for u, v in nxg.edges()])
+
+
+def reference_trees(n: int) -> tuple:
+    """``nx.nonisomorphic_trees(n)`` as Graphs, vertex ``i`` becoming ``i + 1``."""
+    import networkx as nx
+
+    return tuple(_from_networkx(t) for t in nx.nonisomorphic_trees(n))
+
+
+def reference_unicyclic(n: int) -> tuple:
+    """Unicyclic graphs on n vertices: each networkx tree plus one edge, the
+    first graph of each isomorphism class kept."""
+    import networkx as nx
+
+    buckets = {}
+    out = []
+    for tree in nx.nonisomorphic_trees(n):
+        present = set(map(frozenset, tree.edges()))
+        for u in range(n):
+            for v in range(u + 1, n):
+                if frozenset((u, v)) in present:
+                    continue
+                cand = tree.copy()
+                cand.add_edge(u, v)
+                key = tuple(
+                    sorted(
+                        (d, tuple(sorted(cand.degree(y) for y in cand[x])))
+                        for x, d in cand.degree()
+                    )
+                )
+                known = buckets.setdefault(key, [])
+                if any(nx.is_isomorphic(cand, other) for other in known):
+                    continue
+                known.append(cand)
+                out.append(_from_networkx(cand))
+    return tuple(out)

@@ -1,4 +1,5 @@
 import json
+import time
 
 from edgepow.cli import main
 
@@ -138,6 +139,21 @@ def test_scan_conjecture_small(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["clean"] is True and data["instances"] > 0
+
+
+def test_scan_conjecture_refuses_oversized_scan_before_building(capsys):
+    # n = 33 exceeds the engine's 32 vertices; 2 ** 21 cap vectors exceed the grid limit
+    for max_n, cap_max in (("33", "2"), ("21", "2"), ("14", "3")):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "scan-conjecture", "--max-n", max_n, "--cap-max", cap_max, "--json"
+        )
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: scan of n <= {max_n} with caps <= {cap_max} exceeds the limits "
+            "of 32 vertices and 2000000 cap vectors per graph\n"
+        )
 
 
 def test_bad_inputs_exit_1(capsys):
