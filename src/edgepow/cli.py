@@ -173,6 +173,7 @@ def _cmd_repro(args) -> int:
 
 def _cmd_scan(args) -> int:
     # refuse before enumerating a corpus the engine or the cap grid would refuse
+    toric.check_scan_bounds(args.cap_max, args.m_max)
     if args.max_n > MAX_SEARCH_VERTICES or args.cap_max ** args.max_n > GRID_LIMIT:
         raise ValueError(
             f"scan of n <= {args.max_n} with caps <= {args.cap_max} exceeds the limits "

@@ -13,18 +13,24 @@ Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion): a unicyclic graph peels down to its unique cycle, and fixture
 lifting re-attaches leaves in its order.  Family constructors (so inline
 specs) and graph files refuse more than ``MAX_FAMILY_SIZE`` vertices or
-edges before building anything.
+edges before building anything; a graph file larger than
+``MAX_GRAPH_FILE_BYTES`` is refused before it is read.
 """
 from __future__ import annotations
 
 import heapq
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 MAX_SEARCH_VERTICES = 32
 MAX_FAMILY_SIZE = 200_000  # vertices or edges of a family graph or graph file
+# json.dump(..., indent=4) spends at most 60 bytes on an edge whose labels are
+# within MAX_FAMILY_SIZE (65 with CRLF line ends), so a graph file inside the
+# limits fits, and a larger file is refused before it is read
+MAX_GRAPH_FILE_BYTES = 80 * MAX_FAMILY_SIZE
 
 
 class GraphError(ValueError):
@@ -494,6 +500,12 @@ def parse_graph_json(data) -> Graph:
 
 def load_graph(path: str) -> Graph:
     with open(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > MAX_GRAPH_FILE_BYTES:
+            raise GraphError(
+                f"{path}: graph file has {size} bytes; "
+                f"the limit is {MAX_GRAPH_FILE_BYTES} bytes"
+            )
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

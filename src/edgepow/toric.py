@@ -15,6 +15,17 @@ for a quadric z_a z_b - z_c z_d and an (m-2)-multiset R, so
 one union-find per degree and requires each fiber to be a single class.  It
 certifies degrees 2..m_max or returns a disconnected fiber (a kernel
 binomial that the quadrics do not generate).
+
+The inner loops work on packed Python ints, not tuples.  An exponent vector
+packs into one int with coordinate 0 in the highest fixed-width digit; with
+digits wide enough that no sum carries, a product of members is the sum of
+their packed forms, and ascending packed order is the lexicographic order
+of the tuples.  A multiset of generator indices packs as its count vector
+(index 1 in the highest digit), so {a,b}+R is pack({a,b}) + pack(R).  A
+fiber is only a key of a dict of multisets: the check counts singleton
+fibers without building anything for them, and unpacks a product or a
+multiset only for a failure witness.  ``fibers`` unpacks every group into
+the public ``Fiber`` form.
 """
 from __future__ import annotations
 
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from .exchange import _member_set, _moves, _swap, check_strong_exchange
+from .exchange import _member_set, _moves, check_strong_exchange
 from .powers import BudgetError, GeneratorSet, PowerEngine, normalize_caps
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
@@ -31,7 +42,41 @@ DEFAULT_FIBER_BUDGET = 10 ** 7
 def _ordered_members(w):
     if isinstance(w, GeneratorSet):
         return w.ordered
-    return tuple(sorted(_member_set(w), reverse=True))
+    ws = tuple(sorted(_member_set(w), reverse=True))
+    # the packed kernels below hold one exponent per unsigned digit
+    if min(map(min, ws)) < 0:
+        raise ValueError("exponent vectors must be non-negative")
+    return ws
+
+
+def _pack(vec, bits: int) -> int:
+    """Exponent vector as one int, coordinate 0 in the highest ``bits``-bit digit."""
+    key = 0
+    for a in vec:
+        key = (key << bits) | a
+    return key
+
+
+def _unpack(key: int, bits: int, n: int) -> tuple:
+    mask = (1 << bits) - 1
+    return tuple((key >> (bits * t)) & mask for t in range(n - 1, -1, -1))
+
+
+def _units(s: int, m: int) -> list:
+    """Packed count vector of each single generator index 1..s (index 1 in
+    the highest digit), with digits wide enough for degree-m multisets."""
+    bits = m.bit_length()
+    return [1 << (bits * k) for k in range(s - 1, -1, -1)]
+
+
+def _multiset(key: int, s: int, m: int) -> tuple:
+    """Sorted 1-based generator indices of a packed degree-m count vector."""
+    counts = _unpack(key, m.bit_length(), s)
+    return tuple(k for k, c in enumerate(counts, 1) for _ in range(c))
+
+
+def _product_bits(ws, m: int) -> int:
+    return (m * max(map(max, ws))).bit_length()
 
 
 @dataclass(frozen=True, order=True)
@@ -54,25 +99,35 @@ def sym_exchange_binomials(w) -> tuple:
     """All canonical symmetric exchange quadrics of a generator set.
 
     Only pairs i < j are visited: the swap (xi, rho) on (w_i, w_j) lands on
-    the same pair of members as the swap (rho, xi) on (w_j, w_i).
+    the same pair of members as the swap (rho, xi) on (w_j, w_i).  Members
+    are packed with digits as wide as the largest exponent; a swap adds
+    e_rho - e_xi to one packed member and subtracts it from the other, and
+    never carries or borrows, since xi in ups gives u[xi] >= 1 and rho in
+    downs gives u[rho] < v[rho] <= the largest exponent.
     """
     ws = _ordered_members(w)
-    index = {vec: k + 1 for k, vec in enumerate(ws)}
+    n = len(ws[0])
+    bits = max(map(max, ws)).bit_length()
+    weight = [1 << (bits * t) for t in range(n - 1, -1, -1)]
+    packed = [_pack(vec, bits) for vec in ws]
+    index = {key: k for k, key in enumerate(packed, 1)}
     out = set()
-    for u, v, ups, downs in _moves(combinations(ws, 2)):
-        p = (index[u], index[v])
+    # _moves visits the pairs of combinations(ws, 2) in this same order
+    pairs = combinations(tuple(enumerate(packed, 1)), 2)
+    for ((i, pu), (j, pv)), (_, _, ups, downs) in zip(
+        pairs, _moves(combinations(ws, 2))
+    ):
         for xi in ups:
             for rho in downs:
-                ia = index.get(_swap(u, xi, rho))
-                ib = index.get(_swap(v, rho, xi))
+                step = weight[rho] - weight[xi]
+                ia = index.get(pu + step)
+                ib = index.get(pv - step)
                 if ia is None or ib is None:
                     continue
-                q = tuple(sorted((ia, ib)))
-                if p == q:
-                    continue
-                lo, hi = min(p, q), max(p, q)
-                out.add(SymExchangeBinomial(lo[0], lo[1], hi[0], hi[1]))
-    return tuple(sorted(out))
+                q = (ia, ib) if ia < ib else (ib, ia)
+                if q != (i, j):
+                    out.add((i, j) + q if (i, j) < q else q + (i, j))
+    return tuple(SymExchangeBinomial(*quad) for quad in sorted(out))
 
 
 @dataclass(frozen=True)
@@ -82,28 +137,49 @@ class Fiber:
     nodes: tuple  # sorted tuples of 1-based generator indices
 
 
-def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
-    """Degree-m multisets of generator indices, grouped by product monomial."""
-    if m < 2:
-        raise ValueError(f"fiber degree must be >= 2, got {m}")
-    ws = _ordered_members(w)
+def _fiber_groups(ws, m: int, budget: int) -> dict:
+    """Degree-m multisets of generator indices keyed by packed product.
+
+    A member packs with digits wide enough for a degree-m product, so a
+    multiset's product is the sum of its packed members and ascending keys
+    are the product tuples in lexicographic order.  Each multiset is its
+    packed count vector (``_units``), listed in combinations-with-replacement
+    order.  Both packings ride in one int per member, the product above
+    the counts, so one sum per multiset yields both.
+    """
     s = len(ws)
     count = comb(s + m - 1, m)
     if count > budget:
         raise BudgetError(
             f"{count} degree-{m} multisets exceed the fiber budget {budget}"
         )
-    n = len(ws[0])
+    bits = _product_bits(ws, m)
+    shift = m.bit_length() * s
+    low = (1 << shift) - 1
+    items = [
+        (_pack(vec, bits) << shift) | unit for vec, unit in zip(ws, _units(s, m))
+    ]
     groups = {}
-    for combo in combinations_with_replacement(range(1, s + 1), m):
-        prod = [0] * n
-        for k in combo:
-            vec = ws[k - 1]
-            for t in range(n):
-                prod[t] += vec[t]
-        groups.setdefault(tuple(prod), []).append(combo)
+    for total in map(sum, combinations_with_replacement(items, m)):
+        groups.setdefault(total >> shift, []).append(total & low)
+    return groups
+
+
+def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
+    """Degree-m multisets of generator indices, grouped by product monomial."""
+    if m < 2:
+        raise ValueError(f"fiber degree must be >= 2, got {m}")
+    ws = _ordered_members(w)
+    s = len(ws)
+    n = len(ws[0])
+    bits = _product_bits(ws, m)
     return tuple(
-        Fiber(m, prod, tuple(nodes)) for prod, nodes in sorted(groups.items())
+        Fiber(
+            m,
+            _unpack(prod, bits, n),
+            tuple(_multiset(node, s, m) for node in nodes),
+        )
+        for prod, nodes in sorted(_fiber_groups(ws, m, budget).items())
     )
 
 
@@ -165,10 +241,17 @@ def check_fiber_connectivity(
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     bins = sym_exchange_binomials(w)
-    s = len(_ordered_members(w))
+    ws = _ordered_members(w)
+    s = len(ws)
     checks = []
     for m in range(2, m_max + 1):
-        level = fibers(w, m, budget)
+        groups = _fiber_groups(ws, m, budget)
+        units = _units(s, m)
+        # {a,b}+R is pack({a,b}) + pack(R) on packed count vectors
+        moves = [
+            (units[b.i - 1] + units[b.j - 1], units[b.i0 - 1] + units[b.j0 - 1])
+            for b in bins
+        ]
         parent = {}
 
         def find(x):
@@ -179,31 +262,32 @@ def check_fiber_connectivity(
                 parent[x], x = root, parent[x]
             return root
 
-        for rest in combinations_with_replacement(range(1, s + 1), m - 2):
-            for rel in bins:
-                p, q = rel.pairs()
-                ra = find(tuple(sorted(p + rest)))
-                rb = find(tuple(sorted(q + rest)))
+        for rest in map(sum, combinations_with_replacement(units, m - 2)):
+            for p, q in moves:
+                ra = find(p + rest)
+                rb = find(q + rest)
                 if ra != rb:
                     parent[ra] = rb
-        nontrivial = 0
-        for fib in level:
-            if len(fib.nodes) > 1:
-                nontrivial += 1
-                # nodes are in lexicographic order, so the first one outside
-                # the class of nodes[0] is the least such node
-                root = find(fib.nodes[0])
-                for node in fib.nodes[1:]:
-                    if find(node) != root:
-                        checks.append(FiberCheck(m, len(level), nontrivial, False))
-                        return ConnectivityReport(
-                            False,
-                            m_max,
-                            tuple(checks),
-                            len(bins),
-                            (m, fib.product, fib.nodes[0], node),
-                        )
-        checks.append(FiberCheck(m, len(level), nontrivial, True))
+        shared = sorted(prod for prod, nodes in groups.items() if len(nodes) > 1)
+        for nontrivial, prod in enumerate(shared, 1):
+            nodes = groups[prod]
+            # nodes are listed in the lexicographic order of their index
+            # tuples, so the first one outside the class of nodes[0] is the
+            # least such node
+            root = find(nodes[0])
+            for node in nodes[1:]:
+                if find(node) != root:
+                    checks.append(FiberCheck(m, len(groups), nontrivial, False))
+                    failure = (
+                        m,
+                        _unpack(prod, _product_bits(ws, m), len(ws[0])),
+                        _multiset(nodes[0], s, m),
+                        _multiset(node, s, m),
+                    )
+                    return ConnectivityReport(
+                        False, m_max, tuple(checks), len(bins), failure
+                    )
+        checks.append(FiberCheck(m, len(groups), len(shared), True))
     return ConnectivityReport(True, m_max, tuple(checks), len(bins))
 
 
@@ -261,6 +345,14 @@ class ScanReport:
         }
 
 
+def check_scan_bounds(cap_max: int, m_max: int) -> None:
+    """Refuse bounds under which a scan would certify nothing."""
+    if cap_max < 1:
+        raise ValueError(f"cap_max must be >= 1, got {cap_max}")
+    if m_max < 2:
+        raise ValueError(f"m_max must be >= 2, got {m_max}")
+
+
 def conjecture_scan(
     graphs,
     cap_max: int = 2,
@@ -275,6 +367,7 @@ def conjecture_scan(
     certifies generation by the exchange quadrics through degree m_max on
     the swept instances.
     """
+    check_scan_bounds(cap_max, m_max)
     instances = 0
     strong_pass = 0
     strong_fail = 0

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 from edgepow import (
+    BudgetError,
     EdgeMultiset,
     ExchangeReport,
     ExchangeWitness,
@@ -12,12 +14,17 @@ from edgepow import (
     Graph,
     PowerEngine,
     SymExchangeBinomial,
-    fibers,
     graph_from_edges,
-    sym_exchange_binomials,
 )
-from edgepow.exchange import EXCHANGE, STRONG, SYMMETRIC, _member_set, _swap
-from edgepow.toric import ConnectivityReport, Fiber, FiberCheck, _ordered_members
+from edgepow.exchange import EXCHANGE, STRONG, SYMMETRIC, _member_set, _moves, _swap
+from edgepow.powers import MAX_CAP
+from edgepow.toric import (
+    DEFAULT_FIBER_BUDGET,
+    ConnectivityReport,
+    Fiber,
+    FiberCheck,
+    _ordered_members,
+)
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, extra_max=4) -> Graph:
@@ -56,6 +63,81 @@ def random_member_set(rng, n_min=2, n_max=5, deg_min=2, deg_max=4, size_max=12):
         if len(out) == size:
             break
     return out
+
+
+def random_wide_member_set(rng, n_max=32, size_max=10):
+    """Random equal-degree vectors whose largest exponent sits at a packing
+    width edge (2^k - 1, 2^k or MAX_CAP), differing on a few coordinates."""
+    n = rng.randint(2, n_max)
+    k = rng.randint(1, 15)
+    top = rng.choice((2 ** k - 1, 2 ** k, MAX_CAP))
+    base = [rng.randint(0, top) for _ in range(n)]
+    base[rng.randrange(n)] = top
+    live = rng.sample(range(n), rng.randint(2, min(n, 5)))
+    for c in live:
+        base[c] = top
+    deg = rng.randint(1, min(4, top * len(live)))
+    size = rng.randint(1, size_max)
+    out = set()
+    for _ in range(4 * size):
+        vec = list(base)
+        for _ in range(deg):
+            c = rng.choice([c for c in live if vec[c] > 0])
+            vec[c] -= 1
+        out.add(tuple(vec))
+        if len(out) == size:
+            break
+    return out
+
+
+# Reference toric kernel on tuples: the quadric list through ``_swap`` and
+# the grouping of multisets by product tuple, as they stood before both
+# moved to packed ints.
+
+def reference_binomials(w) -> tuple:
+    """``sym_exchange_binomials`` with tuple swaps and tuple-keyed lookups."""
+    ws = _ordered_members(w)
+    index = {vec: k + 1 for k, vec in enumerate(ws)}
+    out = set()
+    for u, v, ups, downs in _moves(combinations(ws, 2)):
+        p = (index[u], index[v])
+        for xi in ups:
+            for rho in downs:
+                ia = index.get(_swap(u, xi, rho))
+                ib = index.get(_swap(v, rho, xi))
+                if ia is None or ib is None:
+                    continue
+                q = tuple(sorted((ia, ib)))
+                if p == q:
+                    continue
+                lo, hi = min(p, q), max(p, q)
+                out.add(SymExchangeBinomial(lo[0], lo[1], hi[0], hi[1]))
+    return tuple(sorted(out))
+
+
+def reference_fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
+    """``fibers`` with each product summed as a tuple."""
+    if m < 2:
+        raise ValueError(f"fiber degree must be >= 2, got {m}")
+    ws = _ordered_members(w)
+    s = len(ws)
+    count = comb(s + m - 1, m)
+    if count > budget:
+        raise BudgetError(
+            f"{count} degree-{m} multisets exceed the fiber budget {budget}"
+        )
+    n = len(ws[0])
+    groups = {}
+    for combo in combinations_with_replacement(range(1, s + 1), m):
+        prod = [0] * n
+        for k in combo:
+            vec = ws[k - 1]
+            for t in range(n):
+                prod[t] += vec[t]
+        groups.setdefault(tuple(prod), []).append(combo)
+    return tuple(
+        Fiber(m, prod, tuple(nodes)) for prod, nodes in sorted(groups.items())
+    )
 
 
 # Reference fiber connectivity: depth-first search from each fiber's first
@@ -103,7 +185,7 @@ def _fiber_connected(fiber: Fiber, moves):
 
 def reference_fiber_connectivity(w, m_max: int = 3) -> ConnectivityReport:
     """``check_fiber_connectivity`` computed by a search over each fiber."""
-    bins = sym_exchange_binomials(w)
+    bins = reference_binomials(w)
     moves = []
     for rel in bins:
         p, q = rel.pairs()
@@ -111,7 +193,7 @@ def reference_fiber_connectivity(w, m_max: int = 3) -> ConnectivityReport:
         moves.append((q, p))
     checks = []
     for m in range(2, m_max + 1):
-        level = fibers(w, m)
+        level = reference_fibers(w, m)
         nontrivial = 0
         for fib in level:
             if len(fib.nodes) > 1:

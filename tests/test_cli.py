@@ -156,6 +156,22 @@ def test_scan_conjecture_refuses_oversized_scan_before_building(capsys):
         )
 
 
+def test_scan_conjecture_refuses_vacuous_bounds(capsys, monkeypatch):
+    from edgepow import corpus
+
+    def unbuilt(n):
+        raise AssertionError("corpus built for a refused scan")
+
+    monkeypatch.setattr(corpus, "unicyclic_up_to", unbuilt)
+    for argv, message in (
+        (("--max-n", "5", "--cap-max", "0", "--json"), "cap_max must be >= 1, got 0"),
+        (("--max-n", "2", "--m-max", "1"), "m_max must be >= 2, got 1"),
+    ):
+        code, out, err = run(capsys, "scan-conjecture", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_bad_inputs_exit_1(capsys):
     code, _, err = run(capsys, "delta", "cycle:2", "--caps", "1,1")
     assert code == 1 and "error:" in err

@@ -23,7 +23,8 @@ from edgepow import (
     template,
 )
 from edgepow import corpus
-from edgepow.graph import MAX_FAMILY_SIZE, peel_leaves
+from edgepow import graph as graph_mod
+from edgepow.graph import MAX_FAMILY_SIZE, MAX_GRAPH_FILE_BYTES, peel_leaves
 from helpers import random_connected_graph, reference_peel_order, reference_unique_cycle
 
 
@@ -305,6 +306,41 @@ def test_over_limit_graph_file_is_refused_before_building(n, edges):
         f"the limit is {MAX_FAMILY_SIZE} of each"
     )
     assert parse_graph_json({"n": 4, "edges": [[1, 2], [3, 4]]}).n == 4
+
+
+def test_graph_file_byte_limit_fits_every_graph_inside_the_limits():
+    # json.dump(..., indent=4) of the largest labels: the bytes one more edge
+    # adds, times the edge limit, plus the rest of the object
+    top = MAX_FAMILY_SIZE
+    for newline in ("\n", "\r\n"):
+        sizes = [
+            len(json.dumps({"n": top, "edges": [[top - 1, top]] * k}, indent=4)
+            .replace("\n", newline))
+            for k in (1, 2)
+        ]
+        per_edge = sizes[1] - sizes[0]
+        assert sizes[0] + (MAX_FAMILY_SIZE - 1) * per_edge <= MAX_GRAPH_FILE_BYTES
+
+
+def test_graph_file_over_byte_limit_is_refused_before_reading(tmp_path, monkeypatch):
+    g = template("c4star")
+    p = tmp_path / "g.json"
+    with open(p, "w") as fh:
+        json.dump(g.to_json(), fh, indent=4)
+    size = p.stat().st_size
+    monkeypatch.setattr(graph_mod, "MAX_GRAPH_FILE_BYTES", size)
+    assert load_graph(str(p)).edges == g.edges
+    monkeypatch.setattr(graph_mod, "MAX_GRAPH_FILE_BYTES", size - 1)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an over-limit graph file was parsed")
+
+    monkeypatch.setattr(graph_mod.json, "load", unread)
+    with pytest.raises(GraphError) as info:
+        load_graph(str(p))
+    assert str(info.value) == (
+        f"{p}: graph file has {size} bytes; the limit is {size - 1} bytes"
+    )
 
 
 def test_star_center_labeling():

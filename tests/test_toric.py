@@ -16,11 +16,15 @@ from edgepow import (
     template,
 )
 from edgepow import corpus, toric
+from edgepow.powers import MAX_CAP
 from helpers import (
     random_caps,
     random_connected_graph,
     random_member_set,
+    random_wide_member_set,
+    reference_binomials,
     reference_fiber_connectivity,
+    reference_fibers,
 )
 
 K2 = graph_from_edges(2, [(1, 2)])
@@ -157,6 +161,48 @@ def test_connectivity_matches_reference_search():
     assert failing >= 40
 
 
+def test_packed_kernel_matches_tuple_reference_at_width_edges():
+    rng = random.Random(79)
+    edges = set()
+    lengths = set()
+    with_quadrics = 0
+    shared = 0
+    failing = 0
+    for _ in range(300):
+        w = random_wide_member_set(rng)
+        m = rng.randint(2, 4)
+        top = max(map(max, w))
+        # largest exponent at MAX_CAP, at a power of two, or just below one
+        edges.add((top == MAX_CAP, top & (top - 1) == 0, top & (top + 1) == 0))
+        lengths.add(len(next(iter(w))))
+        bins = sym_exchange_binomials(w)
+        assert bins == reference_binomials(w)
+        level = fibers(w, m)
+        assert level == reference_fibers(w, m)
+        got = check_fiber_connectivity(w, m).to_json()
+        assert got == reference_fiber_connectivity(w, m).to_json()
+        with_quadrics += bool(bins)
+        shared += any(len(f.nodes) > 1 for f in level)
+        failing += not got["ok"]
+    assert {(True, True, False), (False, True, False), (False, False, True)} <= edges
+    assert max(lengths) == 32
+    assert with_quadrics >= 100 and shared >= 100 and failing >= 10
+
+
+def test_connectivity_builds_no_fiber(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a Fiber was built")
+
+    monkeypatch.setattr(toric, "Fiber", unbuilt)
+    disconnected = {(2, 0, 1), (0, 2, 1), (1, 1, 2), (1, 1, 0)}
+    assert check_fiber_connectivity(FINAL_W, 3).ok
+    assert check_fiber_connectivity(disconnected, 3).failure == (
+        2, (2, 2, 2), (1, 4), (2, 3)
+    )
+    with pytest.raises(AssertionError, match="Fiber was built"):
+        fibers(FINAL_W, 2)
+
+
 def test_connectivity_budget_checked_before_union_find(monkeypatch):
     enumerated = []
 
@@ -206,6 +252,17 @@ def test_conjecture_scan_final_example_instance():
 def test_conjecture_scan_empty_corpus():
     report = conjecture_scan([], cap_max=2, m_max=3)
     assert report.clean and report.instances == 0
+
+
+@pytest.mark.parametrize(
+    "cap_max,m_max,message",
+    [(0, 3, "cap_max must be >= 1, got 0"), (2, 1, "m_max must be >= 2, got 1")],
+)
+def test_conjecture_scan_refuses_vacuous_bounds(cap_max, m_max, message):
+    with pytest.raises(ValueError, match=message):
+        conjecture_scan(corpus.all_unicyclic(4), cap_max=cap_max, m_max=m_max)
+    with pytest.raises(ValueError, match=message):
+        conjecture_scan([], cap_max=cap_max, m_max=m_max)
 
 
 def test_scan_report_json():
