@@ -174,6 +174,10 @@ def _cmd_repro(args) -> int:
 def _cmd_scan(args) -> int:
     # refuse before enumerating a corpus the engine or the cap grid would refuse
     toric.check_scan_bounds(args.cap_max, args.m_max)
+    if args.max_n < 3:
+        raise ValueError(
+            f"max_n must be >= 3 (no unicyclic graph is smaller), got {args.max_n}"
+        )
     if args.max_n > MAX_SEARCH_VERTICES or args.cap_max ** args.max_n > GRID_LIMIT:
         raise ValueError(
             f"scan of n <= {args.max_n} with caps <= {args.cap_max} exceeds the limits "
@@ -201,8 +205,15 @@ def _cmd_scan(args) -> int:
     return 0 if report.clean else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 1 for usage errors: argparse's 2 means "counterexample found" here
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgepow",
         description=(
             "Bounded top powers of edge ideals: top degree, generators, "

@@ -20,8 +20,8 @@ possible such decomposition (componentwise min as the factor, max - min as
 the bounds) and verifies it, so presence of the decomposition and the
 strong verdict can be cross-checked independently.
 
-The module also hosts the cap-grid counterexample search for the strong
-property over a whole graph, one in-process walk on one shared engine.
+The module also hosts ``cap_grid``, the one walk over a graph's cap grid,
+shared by the counterexample search here and the fiber scan of ``toric``.
 """
 from __future__ import annotations
 
@@ -238,23 +238,13 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
 
 
 # ---------------------------------------------------------------------------
-# Cap-grid counterexample search
+# Cap-grid walk and counterexample search
 
-def search_sep_counterexample(
-    graph: Graph,
-    cap_max: int,
-    workers: int = 1,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-):
-    """First cap vector (ascending lex over {1..cap_max}^n) whose generator
-    set fails the strong exchange property, with its report; None if the
-    whole grid passes.
-
-    One engine's memo serves the whole grid, and cap vectors sharing a
-    normal form share a generator set, so each normal form is evaluated
-    once.  ``workers`` is accepted for compatibility; the search runs in
-    one process.
-    """
+def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Yield (caps, generator set) for the first cap vector of each new normal
+    form, in ascending lex order over {1..cap_max}^n.  Both bounds are checked
+    before the first vector; one engine's memo serves the whole grid, and
+    each normal form is evaluated once."""
     if cap_max < 1:
         raise ValueError(f"cap_max must be >= 1, got {cap_max}")
     total = cap_max ** graph.n
@@ -267,7 +257,20 @@ def search_sep_counterexample(
         if norm in seen:
             continue
         seen.add(norm)
-        report = check_strong_exchange(engine.generators(norm))
+        yield caps, engine.generators(norm)
+
+
+def search_sep_counterexample(
+    graph: Graph,
+    cap_max: int,
+    workers: int = 1,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+):
+    """First cap vector of ``cap_grid`` whose generator set fails the strong
+    exchange property, with its report; None if the whole grid passes.
+    ``workers`` is accepted for compatibility and has no effect."""
+    for caps, gens in cap_grid(graph, cap_max, node_budget):
+        report = check_strong_exchange(gens)
         if not report.ok:
             return caps, report
     return None

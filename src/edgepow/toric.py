@@ -26,15 +26,19 @@ fiber is only a key of a dict of multisets: the check counts singleton
 fibers without building anything for them, and unpacks a product or a
 multiset only for a failure witness.  ``fibers`` unpacks every group into
 the public ``Fiber`` form.
+
+``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
+the walk the strong-exchange counterexample search shares, with its bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .exchange import _member_set, _moves, check_strong_exchange
-from .powers import BudgetError, GeneratorSet, PowerEngine, normalize_caps
+from .exchange import _member_set, _moves, cap_grid, check_strong_exchange
+# perfbench/spans.py patches normalize_caps and check_strong_exchange by name here
+from .powers import BudgetError, GeneratorSet, normalize_caps  # noqa: F401
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
 
@@ -360,12 +364,13 @@ def conjecture_scan(
     fiber_budget: int = DEFAULT_FIBER_BUDGET,
     on_instance=None,
 ) -> ScanReport:
-    """Fiber-connectivity sweep over unicyclic graphs and a normalized cap grid.
+    """Fiber-connectivity sweep over unicyclic graphs, each over ``cap_grid``.
 
-    Budget overruns are recorded per instance and the scan continues.  The
-    returned report lists every disconnected fiber found; a clean report
-    certifies generation by the exchange quadrics through degree m_max on
-    the swept instances.
+    A graph whose grid ``cap_grid`` refuses raises before any of its
+    instances.  Fiber budget overruns are recorded per instance and the
+    scan continues.  The returned report lists every disconnected fiber
+    found; a clean report certifies generation by the exchange quadrics
+    through degree m_max on the swept instances.
     """
     check_scan_bounds(cap_max, m_max)
     instances = 0
@@ -374,14 +379,7 @@ def conjecture_scan(
     violations = []
     skips = []
     for gi, g in enumerate(graphs):
-        engine = PowerEngine(g)
-        seen = set()
-        for caps in product(range(1, cap_max + 1), repeat=g.n):
-            norm = normalize_caps(g, caps)
-            if norm in seen:
-                continue
-            seen.add(norm)
-            gens = engine.generators(norm)
+        for _, gens in cap_grid(g, cap_max):
             if check_strong_exchange(gens).ok:
                 strong_pass += 1
             else:
@@ -392,7 +390,7 @@ def conjecture_scan(
             except BudgetError:
                 skips.append(
                     ScanInstance(
-                        gi, g.n, g.sorted_edges, norm, len(gens), "budget"
+                        gi, g.n, g.sorted_edges, gens.caps, len(gens), "budget"
                     )
                 )
                 continue
@@ -402,14 +400,14 @@ def conjecture_scan(
                         gi,
                         g.n,
                         g.sorted_edges,
-                        norm,
+                        gens.caps,
                         len(gens),
                         "violation",
                         report.failure,
                     )
                 )
             if on_instance is not None:
-                on_instance(gi, norm, report)
+                on_instance(gi, gens.caps, report)
     return ScanReport(
         cap_max,
         m_max,

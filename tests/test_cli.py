@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from edgepow.cli import main
 
 
@@ -166,6 +168,11 @@ def test_scan_conjecture_refuses_vacuous_bounds(capsys, monkeypatch):
     for argv, message in (
         (("--max-n", "5", "--cap-max", "0", "--json"), "cap_max must be >= 1, got 0"),
         (("--max-n", "2", "--m-max", "1"), "m_max must be >= 2, got 1"),
+        (
+            ("--max-n", "2", "--json"),
+            "max_n must be >= 3 (no unicyclic graph is smaller), got 2",
+        ),
+        (("--max-n", "-4"), "max_n must be >= 3 (no unicyclic graph is smaller), got -4"),
     ):
         code, out, err = run(capsys, "scan-conjecture", *argv)
         assert code == 1 and out == ""
@@ -179,6 +186,25 @@ def test_bad_inputs_exit_1(capsys):
     assert code == 1 and "cap vector" in err
     code, _, err = run(capsys, "delta", "nosuchfile.json", "--caps", "1,1")
     assert code == 1
+    # argparse usage errors exit 1 too; 2 means "counterexample found"
+    for argv in (
+        ("search", "cycle:5", "--cap-max", "x"),
+        ("search", "cycle:5", "--bogus"),
+        ("delta", "cycle:5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 1 and out.out == ""
+        last = out.err.splitlines()[-1]
+        assert out.err.startswith("usage: edgepow")
+        assert last.startswith("edgepow") and ": error: " in last
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: edgepow")
 
 
 def test_graph_file_validation_message(capsys, tmp_path):

@@ -6,12 +6,15 @@ import pytest
 
 from edgepow import (
     BudgetError,
+    PowerEngine,
     check_fiber_connectivity,
     check_strong_exchange,
     conjecture_scan,
+    cycle,
     enumerate_generators,
     fibers,
     graph_from_edges,
+    search_sep_counterexample,
     sym_exchange_binomials,
     template,
 )
@@ -263,6 +266,44 @@ def test_conjecture_scan_refuses_vacuous_bounds(cap_max, m_max, message):
         conjecture_scan(corpus.all_unicyclic(4), cap_max=cap_max, m_max=m_max)
     with pytest.raises(ValueError, match=message):
         conjecture_scan([], cap_max=cap_max, m_max=m_max)
+
+
+def _record_generators(monkeypatch, record):
+    """Append record(engine, caps) on every PowerEngine.generators call."""
+    calls = []
+    original = PowerEngine.generators
+
+    def recording(self, caps):
+        calls.append(record(self, caps))
+        return original(self, caps)
+
+    monkeypatch.setattr(PowerEngine, "generators", recording)
+    return calls
+
+
+def test_conjecture_scan_refuses_over_limit_grid_before_its_instances(monkeypatch):
+    from edgepow import exchange
+
+    monkeypatch.setattr(exchange, "GRID_LIMIT", 8)
+    with pytest.raises(BudgetError, match="grid of 81 cap vectors exceeds the limit 8"):
+        conjecture_scan([cycle(4)], cap_max=3)
+    # the 8-cell grid of the triangle runs; the 16-cell grid of the 4-cycle
+    # raises before any of its generator sets
+    sizes = _record_generators(monkeypatch, lambda engine, caps: engine.graph.n)
+    with pytest.raises(BudgetError, match="grid"):
+        conjecture_scan([cycle(3), cycle(4)], cap_max=2)
+    assert sizes and set(sizes) == {3}
+
+
+def test_search_and_scan_walk_the_same_normal_forms(monkeypatch):
+    calls = _record_generators(monkeypatch, lambda engine, caps: caps)
+    # a clean grid, so the search walks all of it
+    assert search_sep_counterexample(cycle(5), 3) is None
+    searched = list(calls)
+    calls.clear()
+    report = conjecture_scan([cycle(5)], cap_max=3)
+    assert report.instances == len(calls) == len(set(calls)) > 1
+    assert calls == searched
 
 
 def test_scan_report_json():
