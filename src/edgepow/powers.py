@@ -20,8 +20,12 @@ fast at this scale:
 
 All three searches step through the same states: ``_child`` takes edge i
 t times and zeroes the caps of the vertices that edge i is the last one
-for.  Generator enumeration walks these states at the fixed depth delta,
-pruned by the memoized bound, deduplicating exponent vectors.
+for.  Enumeration memoizes, per state and across cap vectors, the set of
+products of its best-size placements: the union, over each t with
+``t + best(child) == best``, of the child's set times edge i to the t.
+Many multisets share a product when G has an even closed walk, so this
+visits each state once, not each multiset.  Products are ints packed 16
+bits per vertex (``MAX_CAP < 2**16``), unpacked only at the top.
 Decomposition reads the memo greedily: ``need`` edges under caps ``vec``
 have product exactly ``vec``, so at each edge the highest multiplicity
 that leaves ``need`` edges reachable is taken, and never undone.  A
@@ -31,6 +35,7 @@ instances.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -146,6 +151,7 @@ class PowerEngine:
         self.node_budget = node_budget
         self.nodes = 0
         self._memo = {}
+        self._tops_memo = {}
         self._pos = tuple((u - 1, v - 1) for u, v in graph.sorted_edges)
         last = {}
         for i, (u, v) in enumerate(self._pos):
@@ -156,14 +162,11 @@ class PowerEngine:
             dying[i].append(p)
         self._dying = tuple(tuple(sorted(d)) for d in dying)
 
-    def _charge(self, found=None):
-        """Count one search node; ``found`` is the enumeration's result set."""
+    def _charge(self):
+        """Count one search node."""
         self.nodes += 1
         if self.nodes > self.node_budget:
-            where = "" if found is None else (
-                f" (enumeration, {len(found)} generators so far)"
-            )
-            raise BudgetError(f"node budget {self.node_budget} exhausted{where}")
+            raise BudgetError(f"node budget {self.node_budget} exhausted")
 
     def _child(self, i, res, t):
         """The state after taking edge i t times: caps of vertices with no
@@ -205,33 +208,43 @@ class PowerEngine:
         caps = as_caps(self.graph, caps)
         return self._best(0, caps)
 
+    def _tops(self, i, res, best):
+        """Packed products of the ``best``-edge placements from state
+        ``(i, res)``, where ``1 <= best == _best(i, res)``; never mutated."""
+        got = self._tops_memo.get((i, res))
+        if got is not None:
+            return got
+        self._charge()
+        u, v = self._pos[i]
+        unit = (1 << 16 * u) + (1 << 16 * v)
+        top = min(res[u], res[v], best)
+        got = {best * unit} if top == best else None
+        if i + 1 < len(self._pos):
+            for t in range(min(top, best - 1), -1, -1):
+                child = self._child(i, res, t)
+                if t + self._best(i + 1, child) == best:
+                    sub = self._tops(i + 1, child, best - t)
+                    if t:
+                        sub = {p + t * unit for p in sub}
+                    got = sub if got is None else got | sub
+        self._tops_memo[i, res] = got
+        return got
+
     def generators(self, caps) -> GeneratorSet:
-        """Every product of ``delta`` edges under the caps, found by walking
-        ``_best``'s own states and pruning those that cannot reach delta."""
+        """Every product of ``delta`` edges under the caps: the product sets
+        of ``_best``'s own states, memoized across cap vectors like ``_best``."""
         caps = as_caps(self.graph, caps)
         depth = self._best(0, caps)
-        found = set()
-        prod = [0] * self.graph.n
-        pos = self._pos
-        m = len(pos)
-
-        def go(i, res, need):
-            self._charge(found)
-            if need == 0:
-                found.add(tuple(prod))
-                return
-            if i == m or self._best(i, res) < need:
-                return
-            u, v = pos[i]
-            for t in range(min(res[u], res[v], need), -1, -1):
-                prod[u] += t
-                prod[v] += t
-                go(i + 1, self._child(i, res, t), need - t)
-                prod[u] -= t
-                prod[v] -= t
-
-        go(0, caps, depth)
-        return GeneratorSet(self.graph, caps, depth, frozenset(found))
+        try:
+            tops = self._tops(0, caps, depth)
+        except BudgetError:
+            raise BudgetError(
+                f"node budget {self.node_budget} exhausted "
+                f"(enumeration, {len(self._tops_memo)} states so far)"
+            ) from None
+        width = 2 * self.graph.n
+        members = (memoryview(p.to_bytes(width, sys.byteorder)).cast("H") for p in tops)
+        return GeneratorSet(self.graph, caps, depth, frozenset(map(tuple, members)))
 
     def decompose(self, vec):
         """First edge multiset (canonical order, high multiplicities first)
@@ -242,8 +255,11 @@ class PowerEngine:
             raise ValueError(
                 f"exponent vector has length {len(vec)}, graph has {self.graph.n} vertices"
             )
-        if any(not isinstance(e, int) or e < 0 for e in vec):
-            raise ValueError(f"exponent vector must be nonnegative integers: {vec}")
+        for i, e in enumerate(vec):
+            if not isinstance(e, int):
+                raise ValueError(f"vec[{i}] = {e!r} is not an integer")
+            if not 0 <= e <= MAX_CAP:
+                raise ValueError(f"vec[{i}] = {e} out of range 0..{MAX_CAP}")
         total = sum(vec)
         if total % 2:
             raise ValueError(f"degree {total} is odd; no edge multiset can match")

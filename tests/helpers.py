@@ -247,6 +247,36 @@ def reference_decompose(g: Graph, vec):
     return None
 
 
+def reference_generators(g: Graph, caps) -> GeneratorSet:
+    """``enumerate_generators`` by the multiset walk: every cap-respecting
+    edge multiset of size delta, each edge's multiplicity running high to
+    low, pruned by the engine's ``_best`` bound, products deduplicated only
+    at the leaves."""
+    engine = PowerEngine(g)
+    caps = tuple(caps)
+    depth = engine._best(0, caps)
+    pos = engine._pos
+    found = set()
+    prod = [0] * g.n
+
+    def go(i, res, need):
+        if need == 0:
+            found.add(tuple(prod))
+            return
+        if i == len(pos) or engine._best(i, res) < need:
+            return
+        u, v = pos[i]
+        for t in range(min(res[u], res[v], need), -1, -1):
+            prod[u] += t
+            prod[v] += t
+            go(i + 1, engine._child(i, res, t), need - t)
+            prod[u] -= t
+            prod[v] -= t
+
+    go(0, caps, depth)
+    return GeneratorSet(g, caps, depth, frozenset(found))
+
+
 # Integer polymatroids: their bases are generator families with the strong
 # exchange property, for property tests of the checkers.
 

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +23,12 @@ from edgepow import (
     star,
     template,
 )
+from edgepow.powers import MAX_CAP, ORACLE_CAP_SUM
 from helpers import (
     random_caps,
     random_connected_graph,
     reference_decompose,
+    reference_generators,
     validate_generator_set,
 )
 
@@ -188,6 +192,17 @@ def test_decompose_odd_degree_rejected():
         edge_decompose(K2, (1, 0))
 
 
+def test_decompose_refuses_entries_out_of_range():
+    # a 10^9 exponent used to mean a 10^9-step multiplicity loop
+    with pytest.raises(ValueError, match=r"^vec\[0\] = 1000000000 out of range 0\.\.32768$"):
+        edge_decompose(path(3), (10 ** 9, 10 ** 9, 2))
+    with pytest.raises(ValueError, match=r"^vec\[1\] = -1 out of range 0\.\.32768$"):
+        edge_decompose(path(3), (1, -1, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        edge_decompose(K2, (1.0, 1))
+    assert edge_decompose(K2, (MAX_CAP, MAX_CAP)).counts == (((1, 2), MAX_CAP),)
+
+
 def test_decompose_agrees_with_membership():
     rng = random.Random(17)
     g = random_connected_graph(rng, n_max=6)
@@ -245,13 +260,41 @@ def test_oracle_bound():
 
 def test_oracle_matches_engine_random():
     rng = random.Random(99)
+    cases = []
     for _ in range(40):
         g = random_connected_graph(rng, n_min=2, n_max=6)
-        caps = random_caps(rng, g.n)
+        cases.append((g, random_caps(rng, g.n)))
+    # dense graphs, where many edge multisets share one product
+    for spec in ("multipartite:2,2,2", "multipartite:3,3"):
+        g = from_spec(spec)
+        drawn = 0
+        while drawn < 4:
+            caps = random_caps(rng, g.n)
+            if sum(caps) <= 14:
+                cases.append((g, caps))
+                drawn += 1
+    for g, caps in cases:
         d_oracle, w_oracle = brute_force_oracle(g, caps)
         w = enumerate_generators(g, caps)
         assert w.delta == d_oracle
         assert w.members == w_oracle.members
+
+
+def test_generators_match_multiset_walk_on_dense_graphs():
+    # the benchmark's dense pool plus seeded complete multipartite
+    # instances, some past the brute-force oracle's cap-sum limit
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
+    cases = [(e["spec"], tuple(e["caps"])) for fam in pool["dense"].values() for e in fam]
+    assert len(cases) == 80
+    rng = random.Random(41)
+    for spec in ("multipartite:2,2,2", "multipartite:3,3", "multipartite:4,4"):
+        n = from_spec(spec).n
+        cases += [(spec, random_caps(rng, n, cap_max=6)) for _ in range(4)]
+    assert sum(sum(caps) > ORACLE_CAP_SUM for _, caps in cases) == 3
+    for spec, caps in cases:
+        g = from_spec(spec)
+        w, ref = enumerate_generators(g, caps), reference_generators(g, caps)
+        assert (w.delta, w.members) == (ref.delta, ref.members), (spec, caps)
 
 
 def test_degenerate_regime_implies_strong_pass():
@@ -280,22 +323,29 @@ def test_budget_message_names_enumeration_progress():
     engine = PowerEngine(cycle(9), node_budget=60)
     with pytest.raises(BudgetError) as exc:
         engine.generators((2,) * 9)
-    assert str(exc.value) == "node budget 60 exhausted (enumeration, 1 generators so far)"
+    assert str(exc.value) == "node budget 60 exhausted (enumeration, 8 states so far)"
     assert engine.nodes == 61
     engine = PowerEngine(from_spec("multipartite:3,3,3"), node_budget=2000)
     with pytest.raises(BudgetError) as exc:
         engine.generators((3, 1, 3, 2, 2, 3, 3, 3, 3))
     assert str(exc.value) == (
-        "node budget 2000 exhausted (enumeration, 3 generators so far)"
+        "node budget 2000 exhausted (enumeration, 272 states so far)"
     )
     assert engine.nodes == 2001
+    # exhaustion while finding delta names no enumeration progress
+    engine = PowerEngine(from_spec("multipartite:3,3,3"), node_budget=700)
+    with pytest.raises(BudgetError) as exc:
+        engine.generators((3, 1, 3, 2, 2, 3, 3, 3, 3))
+    assert str(exc.value) == "node budget 700 exhausted"
+    assert engine.nodes == 701
 
 
 @pytest.mark.parametrize(
     "spec, caps, nodes, memo",
     [
-        ("cycle:9", (2,) * 9, 85, 65),
-        ("template:c3pathpend", (1, 1, 1, 2, 1, 1, 1), 47, 19),
+        ("cycle:9", (2,) * 9, 74, 65),
+        ("template:c3pathpend", (1, 1, 1, 2, 1, 1, 1), 31, 19),
+        ("multipartite:3,3,3", (3, 1, 3, 2, 2, 3, 3, 3, 3), 19004, 13371),
     ],
 )
 def test_generators_node_and_memo_counts(spec, caps, nodes, memo):
@@ -313,6 +363,10 @@ def test_engine_memo_shared_across_caps():
     b = engine.delta((1,) * 6)
     assert (a, b) == (3, 3)
     assert engine.nodes == nodes_first  # fully memoized second time
+    w = engine.generators((2, 1, 2, 1, 2, 1))
+    nodes_first = engine.nodes
+    assert engine.generators((2, 1, 2, 1, 2, 1)).members == w.members
+    assert engine.nodes == nodes_first
 
 
 def test_format_monomial():
