@@ -16,17 +16,13 @@ from .graph import (
     load_graph,
     parse_graph_json,
     structure_probe,
-    independence_number,
-    is_triangle_free,
     induced_subgraph,
-    delete_vertex,
 )
 from .powers import (
     BudgetError,
     EdgeMultiset,
     GeneratorSet,
     PowerEngine,
-    brute_force_oracle,
     delta,
     edge_decompose,
     enumerate_generators,

@@ -17,14 +17,14 @@ import sys
 from . import classify as classify_mod
 from . import corpus, fixtures, toric
 from .exchange import (
-    GRID_LIMIT,
     check_exchange,
+    check_grid,
     check_strong_exchange,
     check_symmetric_exchange,
     detect_veronese,
     search_sep_counterexample,
 )
-from .graph import MAX_SEARCH_VERTICES, Graph, GraphError, from_spec, load_graph
+from .graph import Graph, GraphError, from_spec, load_graph
 from .powers import (
     DEFAULT_NODE_BUDGET,
     BudgetError,
@@ -178,11 +178,7 @@ def _cmd_scan(args) -> int:
         raise ValueError(
             f"max_n must be >= 3 (no unicyclic graph is smaller), got {args.max_n}"
         )
-    if args.max_n > MAX_SEARCH_VERTICES or args.cap_max ** args.max_n > GRID_LIMIT:
-        raise ValueError(
-            f"scan of n <= {args.max_n} with caps <= {args.cap_max} exceeds the limits "
-            f"of {MAX_SEARCH_VERTICES} vertices and {GRID_LIMIT} cap vectors per graph"
-        )
+    check_grid(args.max_n, args.cap_max)
     graphs = corpus.unicyclic_up_to(args.max_n)
     report = toric.conjecture_scan(graphs, args.cap_max, args.m_max)
     if args.json:
@@ -205,15 +201,8 @@ def _cmd_scan(args) -> int:
     return 0 if report.clean else 2
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # exit 1 for usage errors: argparse's 2 means "counterexample found" here
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def main(argv=None) -> int:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="edgepow",
         description=(
             "Bounded top powers of edge ideals: top degree, generators, "
@@ -290,7 +279,11 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_scan)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # usage errors return 1: argparse's 2 means "counterexample found" here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (GraphError, BudgetError, ValueError, KeyError, OSError) as exc:

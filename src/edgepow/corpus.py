@@ -144,7 +144,3 @@ def find_isomorphism(a: Graph, b: Graph):
     for mapping in matcher.isomorphisms_iter():
         return dict(mapping)
     return None
-
-
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    return find_isomorphism(a, b) is not None

@@ -25,6 +25,7 @@ shared by the counterexample search here and the fiber scan of ``toric``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -34,6 +35,7 @@ from .powers import (
     BudgetError,
     GeneratorSet,
     PowerEngine,
+    check_vertices,
     normalize_caps,
 )
 
@@ -240,16 +242,30 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
 # ---------------------------------------------------------------------------
 # Cap-grid walk and counterexample search
 
-def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Yield (caps, generator set) for the first cap vector of each new normal
-    form, in ascending lex order over {1..cap_max}^n.  Both bounds are checked
-    before the first vector; one engine's memo serves the whole grid, and
-    each normal form is evaluated once."""
+def check_cap_max(cap_max: int) -> None:
+    """Refuse a cap bound under which a grid has no cap vector."""
     if cap_max < 1:
         raise ValueError(f"cap_max must be >= 1, got {cap_max}")
-    total = cap_max ** graph.n
-    if total > GRID_LIMIT:
+
+
+def check_grid(n: int, cap_max: int) -> None:
+    """Refuse, before any work, a grid {1..cap_max}^n that ``cap_grid`` cannot
+    walk: cap_max first, then its size, then the engine's vertex bound.  A
+    size past 4,000 digits is written as a power, not computed."""
+    check_cap_max(cap_max)
+    huge = n * math.log10(cap_max) > 4000
+    total = f"{cap_max}**{n}" if huge else cap_max ** n
+    if huge or total > GRID_LIMIT:
         raise BudgetError(f"grid of {total} cap vectors exceeds the limit {GRID_LIMIT}")
+    check_vertices(n)
+
+
+def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Yield (caps, generator set) for the first cap vector of each new normal
+    form, in ascending lex order over {1..cap_max}^n.  ``check_grid`` runs
+    before the first vector; one engine's memo serves the whole grid, and
+    each normal form is evaluated once."""
+    check_grid(graph.n, cap_max)
     engine = PowerEngine(graph, node_budget)
     seen = set()
     for caps in product(range(1, cap_max + 1), repeat=graph.n):

@@ -665,7 +665,3 @@ def run_fixture(fixture: Fixture, node_budget: int = DEFAULT_NODE_BUDGET) -> Fix
         report = toric.check_fiber_connectivity(gens, fixture.fiber_m)
         res.add("fibers", report.ok, f"through degree {fixture.fiber_m}")
     return res
-
-
-def run_all(node_budget: int = DEFAULT_NODE_BUDGET):
-    return [run_fixture(f, node_budget) for f in REGISTRY]

@@ -6,8 +6,7 @@ isolated vertices are rejected.  The module provides the standard families
 used by the rest of the package (cycles, paths, stars, whiskered stars,
 complete multipartite graphs minus a matching, a table of named small
 graphs), structural probes (connectivity, tree/unicyclic detection with the
-unique cycle), the independence number, and induced-subgraph operations
-with explicit renumbering maps.
+unique cycle), and induced subgraphs with explicit renumbering maps.
 
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion): a unicyclic graph peels down to its unique cycle, and fixture
@@ -419,41 +418,6 @@ def structure_probe(g: Graph) -> StructureReport:
     )
 
 
-def is_triangle_free(g: Graph) -> bool:
-    adj = g.adjacency
-    for u, v in g.edges:
-        if adj[u - 1] & adj[v - 1]:
-            return False
-    return True
-
-
-def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size, branch and bound over bitmasks."""
-    if g.n > MAX_SEARCH_VERTICES:
-        raise GraphError(
-            f"independence number search is limited to n <= {MAX_SEARCH_VERTICES}"
-        )
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u - 1] |= 1 << (v - 1)
-        nbr[v - 1] |= 1 << (u - 1)
-    best = 0
-
-    def go(cand, size):
-        nonlocal best
-        if size + bin(cand).count("1") <= best:
-            return
-        if cand == 0:
-            best = max(best, size)
-            return
-        v = cand.bit_length() - 1
-        go(cand & ~((1 << v) | nbr[v]), size + 1)
-        go(cand & ~(1 << v), size)
-
-    go((1 << g.n) - 1, 0)
-    return best
-
-
 def induced_subgraph(g: Graph, keep) -> tuple:
     """Induced subgraph on ``keep``, renumbered 1..k preserving label order.
 
@@ -471,12 +435,6 @@ def induced_subgraph(g: Graph, keep) -> tuple:
         (mapping[u], mapping[v]) for u, v in g.edges if u in mapping and v in mapping
     ]
     return Graph(len(keep), frozenset(edges)), mapping
-
-
-def delete_vertex(g: Graph, v: int) -> tuple:
-    """Remove vertex ``v``; returns ``(graph, mapping)`` with old->new labels."""
-    g._check_vertex(v)
-    return induced_subgraph(g, [u for u in range(1, g.n + 1) if u != v])
 
 
 # ---------------------------------------------------------------------------

@@ -28,40 +28,48 @@ visits each state once, not each multiset.  Products are ints packed 16
 bits per vertex (``MAX_CAP < 2**16``), unpacked only at the top.
 Decomposition reads the memo greedily: ``need`` edges under caps ``vec``
 have product exactly ``vec``, so at each edge the highest multiplicity
-that leaves ``need`` edges reachable is taken, and never undone.  A
-separate brute-force oracle enumerates edge multisets naively (no
-pruning, no memoization) and is used to cross-check the engine on small
-instances.
+that leaves ``need`` edges reachable is taken, and never undone.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 from .graph import MAX_SEARCH_VERTICES, Graph
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 MAX_CAP = 1 << 15
-ORACLE_CAP_SUM = 24
 
 
 class BudgetError(RuntimeError):
     """A configured work budget was exhausted before the search finished."""
 
 
+def check_vertices(n: int) -> None:
+    """Refuse a graph on more vertices than the engine enumerates."""
+    if n > MAX_SEARCH_VERTICES:
+        raise ValueError(
+            f"enumeration is limited to {MAX_SEARCH_VERTICES} vertices, got {n}"
+        )
+
+
+def _as_vector(g: Graph, vec, kind: str, name: str, low: int) -> tuple:
+    """``vec`` as a tuple of one int in ``low..MAX_CAP`` per vertex of ``g``."""
+    vec = tuple(vec)
+    if len(vec) != g.n:
+        raise ValueError(f"{kind} vector has length {len(vec)}, graph has {g.n} vertices")
+    for i, e in enumerate(vec):
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"{name}[{i}] = {e!r} is not an integer")
+        if not low <= e <= MAX_CAP:
+            raise ValueError(f"{name}[{i}] = {e} out of range {low}..{MAX_CAP}")
+    return vec
+
+
 def as_caps(g: Graph, caps) -> tuple:
     """Validate a cap vector against a graph: positive ints, one per vertex."""
-    caps = tuple(caps)
-    if len(caps) != g.n:
-        raise ValueError(f"cap vector has length {len(caps)}, graph has {g.n} vertices")
-    for i, c in enumerate(caps):
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"caps[{i}] = {c!r} is not an integer")
-        if not (1 <= c <= MAX_CAP):
-            raise ValueError(f"caps[{i}] = {c} out of range 1..{MAX_CAP}")
-    return caps
+    return _as_vector(g, caps, "cap", "caps", 1)
 
 
 def parse_caps(text: str) -> tuple:
@@ -143,10 +151,7 @@ class PowerEngine:
     """Shared-memo search engine for one graph, reusable across cap vectors."""
 
     def __init__(self, graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET):
-        if graph.n > MAX_SEARCH_VERTICES:
-            raise ValueError(
-                f"enumeration is limited to {MAX_SEARCH_VERTICES} vertices, got {graph.n}"
-            )
+        check_vertices(graph.n)
         self.graph = graph
         self.node_budget = node_budget
         self.nodes = 0
@@ -250,16 +255,7 @@ class PowerEngine:
         """First edge multiset (canonical order, high multiplicities first)
         whose product is exactly ``vec``, or None.  Greedy over the exact
         memo, as the module docstring explains: no backtracking."""
-        vec = tuple(vec)
-        if len(vec) != self.graph.n:
-            raise ValueError(
-                f"exponent vector has length {len(vec)}, graph has {self.graph.n} vertices"
-            )
-        for i, e in enumerate(vec):
-            if not isinstance(e, int):
-                raise ValueError(f"vec[{i}] = {e!r} is not an integer")
-            if not 0 <= e <= MAX_CAP:
-                raise ValueError(f"vec[{i}] = {e} out of range 0..{MAX_CAP}")
+        vec = _as_vector(self.graph, vec, "exponent", "vec", 0)
         total = sum(vec)
         if total % 2:
             raise ValueError(f"degree {total} is odd; no edge multiset can match")
@@ -310,37 +306,3 @@ def enumerate_generators(g: Graph, caps, node_budget: int = DEFAULT_NODE_BUDGET)
 def edge_decompose(g: Graph, vec, node_budget: int = DEFAULT_NODE_BUDGET):
     """Deterministic edge-multiset factorization of an exponent vector, or None."""
     return PowerEngine(g, node_budget).decompose(vec)
-
-
-def brute_force_oracle(g: Graph, caps):
-    """Independent check: exhaustive multiset enumeration, no pruning or memo.
-
-    Returns ``(delta, GeneratorSet)``.  Only available for cap sums up to
-    ORACLE_CAP_SUM to keep the naive enumeration finite in practice.
-    """
-    caps = as_caps(g, caps)
-    if sum(caps) > ORACLE_CAP_SUM:
-        raise ValueError(
-            f"oracle requires sum(caps) <= {ORACLE_CAP_SUM}, got {sum(caps)}"
-        )
-    edges = g.sorted_edges
-    n = g.n
-    best_m = 0
-    best_set = frozenset()
-    m = 1
-    while True:
-        found = set()
-        for combo in combinations_with_replacement(edges, m):
-            expo = [0] * n
-            for u, v in combo:
-                expo[u - 1] += 1
-                expo[v - 1] += 1
-            if all(e <= c for e, c in zip(expo, caps)):
-                found.add(tuple(expo))
-        if not found:
-            break
-        best_m = m
-        best_set = frozenset(found)
-        m += 1
-    return best_m, GeneratorSet(g, caps, best_m, best_set)
-

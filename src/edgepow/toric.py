@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .exchange import _member_set, _moves, cap_grid, check_strong_exchange
+from .exchange import _member_set, _moves, cap_grid, check_cap_max, check_strong_exchange
 # perfbench/spans.py patches normalize_caps and check_strong_exchange by name here
 from .powers import BudgetError, GeneratorSet, normalize_caps  # noqa: F401
 
@@ -351,8 +351,7 @@ class ScanReport:
 
 def check_scan_bounds(cap_max: int, m_max: int) -> None:
     """Refuse bounds under which a scan would certify nothing."""
-    if cap_max < 1:
-        raise ValueError(f"cap_max must be >= 1, got {cap_max}")
+    check_cap_max(cap_max)
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
 

@@ -12,12 +12,17 @@ from edgepow import (
     ExchangeWitness,
     GeneratorSet,
     Graph,
+    GraphError,
     PowerEngine,
     SymExchangeBinomial,
+    fixtures,
     graph_from_edges,
+    induced_subgraph,
 )
+from edgepow.corpus import find_isomorphism
 from edgepow.exchange import EXCHANGE, STRONG, SYMMETRIC, _member_set, _moves, _swap
-from edgepow.powers import MAX_CAP
+from edgepow.graph import MAX_SEARCH_VERTICES
+from edgepow.powers import DEFAULT_NODE_BUDGET, MAX_CAP, as_caps
 from edgepow.toric import (
     DEFAULT_FIBER_BUDGET,
     ConnectivityReport,
@@ -276,6 +281,94 @@ def reference_generators(g: Graph, caps) -> GeneratorSet:
     go(0, caps, depth)
     return GeneratorSet(g, caps, depth, frozenset(found))
 
+
+
+ORACLE_CAP_SUM = 24
+
+
+def brute_force_oracle(g: Graph, caps):
+    """Independent check: exhaustive multiset enumeration, no pruning or memo.
+
+    Returns ``(delta, GeneratorSet)``.  Only available for cap sums up to
+    ORACLE_CAP_SUM to keep the naive enumeration finite in practice.
+    """
+    caps = as_caps(g, caps)
+    if sum(caps) > ORACLE_CAP_SUM:
+        raise ValueError(
+            f"oracle requires sum(caps) <= {ORACLE_CAP_SUM}, got {sum(caps)}"
+        )
+    edges = g.sorted_edges
+    n = g.n
+    best_m = 0
+    best_set = frozenset()
+    m = 1
+    while True:
+        found = set()
+        for combo in combinations_with_replacement(edges, m):
+            expo = [0] * n
+            for u, v in combo:
+                expo[u - 1] += 1
+                expo[v - 1] += 1
+            if all(e <= c for e, c in zip(expo, caps)):
+                found.add(tuple(expo))
+        if not found:
+            break
+        best_m = m
+        best_set = frozenset(found)
+        m += 1
+    return best_m, GeneratorSet(g, caps, best_m, best_set)
+
+
+def run_all(node_budget: int = DEFAULT_NODE_BUDGET):
+    """Every registered fixture, run in registry order."""
+    return [fixtures.run_fixture(f, node_budget) for f in fixtures.REGISTRY]
+
+
+# Graph invariants that the closed-form classifiers replace with linear rules.
+
+def is_triangle_free(g: Graph) -> bool:
+    adj = g.adjacency
+    for u, v in g.edges:
+        if adj[u - 1] & adj[v - 1]:
+            return False
+    return True
+
+
+def independence_number(g: Graph) -> int:
+    """Exact maximum independent set size, branch and bound over bitmasks."""
+    if g.n > MAX_SEARCH_VERTICES:
+        raise GraphError(
+            f"independence number search is limited to n <= {MAX_SEARCH_VERTICES}"
+        )
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u - 1] |= 1 << (v - 1)
+        nbr[v - 1] |= 1 << (u - 1)
+    best = 0
+
+    def go(cand, size):
+        nonlocal best
+        if size + bin(cand).count("1") <= best:
+            return
+        if cand == 0:
+            best = max(best, size)
+            return
+        v = cand.bit_length() - 1
+        go(cand & ~((1 << v) | nbr[v]), size + 1)
+        go(cand & ~(1 << v), size)
+
+    go((1 << g.n) - 1, 0)
+    return best
+
+
+def delete_vertex(g: Graph, v: int) -> tuple:
+    """Remove vertex ``v``; returns ``(graph, mapping)`` with old->new labels."""
+    g._check_vertex(v)
+    return induced_subgraph(g, [u for u in range(1, g.n + 1) if u != v])
+
+
+def is_isomorphic(a: Graph, b: Graph) -> bool:
+    return find_isomorphism(a, b) is not None
 
 # Integer polymatroids: their bases are generator families with the strong
 # exchange property, for property tests of the checkers.

@@ -8,7 +8,6 @@ import random
 import time
 
 from edgepow import (
-    brute_force_oracle,
     check_exchange,
     check_fiber_connectivity,
     check_strong_exchange,
@@ -25,12 +24,14 @@ from edgepow import (
     sym_exchange_binomials,
     template,
 )
-from edgepow import corpus, fixtures
+from edgepow import corpus
 from helpers import (
+    brute_force_oracle,
     enumerate_polymatroid_base,
     random_caps,
     random_connected_graph,
     random_coverage_function,
+    run_all,
 )
 
 
@@ -60,7 +61,7 @@ def _instances():
 
 def test_criterion_01_fixture_suite():
     t0 = time.time()
-    results = fixtures.run_all()
+    results = run_all()
     bad = [r.fixture.name for r in results if not r.ok]
     by_name = {r.fixture.name: r.fixture for r in results}
     spot = (

@@ -14,7 +14,6 @@ from edgepow import (
     cross_validate,
     cycle,
     graph_from_edges,
-    independence_number,
     path,
     star,
     star_whisker,
@@ -24,6 +23,7 @@ from edgepow import (
 from edgepow import corpus
 from edgepow.classify import _unicyclic_independence, lift_failing_caps
 from edgepow.fixtures import failing_instances
+from helpers import independence_number, is_isomorphic, is_triangle_free
 
 
 # --- cycles and paths
@@ -161,7 +161,7 @@ def test_unicyclic_c3_templates():
 
 def test_triangle_free_low_independence_never_fails_in_grid():
     # the positive clause for cycle lengths 5..7 rests on this guarantee
-    from edgepow import independence_number, is_triangle_free, search_sep_counterexample
+    from edgepow import search_sep_counterexample
 
     checked = 0
     for g in corpus.trees_up_to(7) + corpus.unicyclic_up_to(7):
@@ -255,12 +255,12 @@ def test_tree_matcher_against_isomorphism_oracle():
     n_max = 8
     positives = _tree_templates_upto(n_max)
     for g in corpus.trees_up_to(n_max):
-        expected = any(corpus.is_isomorphic(g, t) for t in positives)
+        expected = any(is_isomorphic(g, t) for t in positives)
         assert classify_tree(g).sep == expected, g
 
 
 def test_unicyclic_matcher_against_isomorphism_oracle():
-    from edgepow import independence_number, structure_probe
+    from edgepow import structure_probe
 
     n_max = 8
     positives = _unicyclic_templates_upto(n_max)
@@ -271,7 +271,7 @@ def test_unicyclic_matcher_against_isomorphism_oracle():
         elif ell >= 8:
             expected = False
         else:
-            expected = any(corpus.is_isomorphic(g, t) for t in positives)
+            expected = any(is_isomorphic(g, t) for t in positives)
         assert classify_unicyclic(g).sep == expected, g
 
 

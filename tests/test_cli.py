@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from edgepow import BudgetError, corpus, cycle, search_sep_counterexample
 from edgepow.cli import main
 
 
@@ -10,6 +11,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def unbuilt(n):
+    raise AssertionError("corpus built for a refused scan")
 
 
 def test_delta_c6pend(capsys):
@@ -143,27 +148,27 @@ def test_scan_conjecture_small(capsys):
     assert data["clean"] is True and data["instances"] > 0
 
 
-def test_scan_conjecture_refuses_oversized_scan_before_building(capsys):
-    # n = 33 exceeds the engine's 32 vertices; 2 ** 21 cap vectors exceed the grid limit
-    for max_n, cap_max in (("33", "2"), ("21", "2"), ("14", "3")):
+def test_scan_conjecture_refuses_oversized_scan_before_building(capsys, monkeypatch):
+    # the grid bound comes before the engine's 32 vertices, as in the search
+    monkeypatch.setattr(corpus, "unicyclic_up_to", unbuilt)
+    for max_n, cap_max, message in (
+        (33, 2, "grid of 8589934592 cap vectors exceeds the limit 2000000"),
+        (21, 2, "grid of 2097152 cap vectors exceeds the limit 2000000"),
+        (14, 3, "grid of 4782969 cap vectors exceeds the limit 2000000"),
+        (33, 1, "enumeration is limited to 32 vertices, got 33"),
+    ):
+        with pytest.raises(ValueError if cap_max == 1 else BudgetError) as search:
+            search_sep_counterexample(cycle(max_n), cap_max)
+        assert str(search.value) == message
         start = time.perf_counter()
-        code, out, err = run(
-            capsys, "scan-conjecture", "--max-n", max_n, "--cap-max", cap_max, "--json"
-        )
+        argv = ("--max-n", str(max_n), "--cap-max", str(cap_max), "--json")
+        code, out, err = run(capsys, "scan-conjecture", *argv)
         assert time.perf_counter() - start < 0.1
         assert code == 1 and out == ""
-        assert err == (
-            f"error: scan of n <= {max_n} with caps <= {cap_max} exceeds the limits "
-            "of 32 vertices and 2000000 cap vectors per graph\n"
-        )
+        assert err == f"error: {message}\n"
 
 
 def test_scan_conjecture_refuses_vacuous_bounds(capsys, monkeypatch):
-    from edgepow import corpus
-
-    def unbuilt(n):
-        raise AssertionError("corpus built for a refused scan")
-
     monkeypatch.setattr(corpus, "unicyclic_up_to", unbuilt)
     for argv, message in (
         (("--max-n", "5", "--cap-max", "0", "--json"), "cap_max must be >= 1, got 0"),
@@ -192,19 +197,16 @@ def test_bad_inputs_exit_1(capsys):
         ("search", "cycle:5", "--bogus"),
         ("delta", "cycle:5"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        out = capsys.readouterr()
-        assert exc.value.code == 1 and out.out == ""
-        last = out.err.splitlines()[-1]
-        assert out.err.startswith("usage: edgepow")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        last = err.splitlines()[-1]
+        assert err.startswith("usage: edgepow")
         assert last.startswith("edgepow") and ": error: " in last
 
 
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--help"])
-    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: edgepow")
+    code, out, _ = run(capsys, "search", "--help")
+    assert code == 0 and out.startswith("usage: edgepow")
 
 
 def test_graph_file_validation_message(capsys, tmp_path):

@@ -280,6 +280,26 @@ def test_search_grid_budget():
         search_sep_counterexample(cycle(8), 7)
 
 
+def test_check_grid_writes_a_huge_grid_as_a_power():
+    from edgepow import BudgetError
+    from edgepow.exchange import check_grid
+
+    # 2 ** 20000 has more digits than int-to-str writes by default
+    with pytest.raises(BudgetError) as exc:
+        search_sep_counterexample(cycle(20000), 2)
+    assert str(exc.value) == "grid of 2**20000 cap vectors exceeds the limit 2000000"
+    with pytest.raises(BudgetError, match=r"^grid of 3\*\*1000000000 cap vectors "):
+        check_grid(10 ** 9, 3)
+    # below 4,000 digits the size is written out
+    with pytest.raises(BudgetError) as exc:
+        check_grid(13000, 2)
+    assert str(exc.value) == f"grid of {2 ** 13000} cap vectors exceeds the limit 2000000"
+    with pytest.raises(ValueError, match="^enumeration is limited to 32 vertices, got 10000$"):
+        check_grid(10000, 1)
+    check_grid(32, 1)
+    check_grid(13, 3)
+
+
 # --- polymatroids
 
 def test_free_matroid_base():

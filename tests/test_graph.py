@@ -7,13 +7,10 @@ import pytest
 from edgepow import (
     GraphError,
     cycle,
-    delete_vertex,
     forked_path,
     from_spec,
     graph_from_edges,
-    independence_number,
     induced_subgraph,
-    is_triangle_free,
     load_graph,
     parse_graph_json,
     path,
@@ -25,7 +22,14 @@ from edgepow import (
 from edgepow import corpus
 from edgepow import graph as graph_mod
 from edgepow.graph import MAX_FAMILY_SIZE, MAX_GRAPH_FILE_BYTES, peel_leaves
-from helpers import random_connected_graph, reference_peel_order, reference_unique_cycle
+from helpers import (
+    delete_vertex,
+    independence_number,
+    is_triangle_free,
+    random_connected_graph,
+    reference_peel_order,
+    reference_unique_cycle,
+)
 
 
 def test_rejects_loops_duplicates_isolated():

@@ -7,7 +7,6 @@ import pytest
 from edgepow import (
     BudgetError,
     PowerEngine,
-    brute_force_oracle,
     check_strong_exchange,
     cycle,
     delta,
@@ -23,8 +22,10 @@ from edgepow import (
     star,
     template,
 )
-from edgepow.powers import MAX_CAP, ORACLE_CAP_SUM
+from edgepow.powers import MAX_CAP
 from helpers import (
+    ORACLE_CAP_SUM,
+    brute_force_oracle,
     random_caps,
     random_connected_graph,
     reference_decompose,
@@ -200,6 +201,8 @@ def test_decompose_refuses_entries_out_of_range():
         edge_decompose(path(3), (1, -1, 2))
     with pytest.raises(ValueError, match="not an integer"):
         edge_decompose(K2, (1.0, 1))
+    with pytest.raises(ValueError, match=r"^vec\[0\] = True is not an integer$"):
+        edge_decompose(path(2), (True, True))
     assert edge_decompose(K2, (MAX_CAP, MAX_CAP)).counts == (((1, 2), MAX_CAP),)
 
 
