@@ -179,6 +179,7 @@ def _cmd_scan(args) -> int:
             f"max_n must be >= 3 (no unicyclic graph is smaller), got {args.max_n}"
         )
     check_grid(args.max_n, args.cap_max)
+    corpus.check_unicyclic_scan(args.max_n, args.cap_max)
     graphs = corpus.unicyclic_up_to(args.max_n)
     report = toric.conjecture_scan(graphs, args.cap_max, args.m_max)
     if args.json:

@@ -14,7 +14,16 @@ lifting) and is imported there.
 """
 from __future__ import annotations
 
+from .exchange import GRID_LIMIT
 from .graph import Graph, _unique_cycle, peel_leaves
+from .powers import BudgetError
+
+# connected unicyclic graphs on n vertices, up to isomorphism (OEIS A001429)
+UNICYCLIC_COUNTS = {
+    3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806,
+    12: 5026, 13: 13999, 14: 39260, 15: 110381, 16: 311465, 17: 880840,
+    18: 2497405,
+}
 
 
 def _next_rooted_tree(predecessor, p=None):
@@ -121,6 +130,21 @@ def trees_up_to(n: int) -> tuple:
 
 def unicyclic_up_to(n: int) -> tuple:
     return tuple(g for k in range(3, n + 1) for g in all_unicyclic(k))
+
+
+def check_unicyclic_scan(max_n: int, cap_max: int) -> None:
+    """Refuse, before building the corpus, a scan of every unicyclic graph on
+    3..max_n vertices over {1..cap_max}^n whose cap vectors number more than
+    ``GRID_LIMIT`` in all.  The sum runs in order of n and stops at the
+    first excess; n = 18 alone exceeds the limit, so the table suffices."""
+    total = 0
+    for n in range(3, max_n + 1):
+        total += UNICYCLIC_COUNTS[n] * cap_max ** n
+        if total > GRID_LIMIT:
+            raise BudgetError(
+                f"scan of {total} cap vectors over the unicyclic graphs on "
+                f"3..{n} vertices exceeds the limit {GRID_LIMIT}"
+            )
 
 
 def to_networkx(g: Graph):

@@ -20,9 +20,17 @@ from edgepow import (
     induced_subgraph,
 )
 from edgepow.corpus import find_isomorphism
-from edgepow.exchange import EXCHANGE, STRONG, SYMMETRIC, _member_set, _moves, _swap
+from edgepow.exchange import (
+    EXCHANGE,
+    STRONG,
+    SYMMETRIC,
+    _member_set,
+    _moves,
+    _swap,
+    check_grid,
+)
 from edgepow.graph import MAX_SEARCH_VERTICES
-from edgepow.powers import DEFAULT_NODE_BUDGET, MAX_CAP, as_caps
+from edgepow.powers import DEFAULT_NODE_BUDGET, MAX_CAP, as_caps, normalize_caps
 from edgepow.toric import (
     DEFAULT_FIBER_BUDGET,
     ConnectivityReport,
@@ -284,6 +292,22 @@ def reference_generators(g: Graph, caps) -> GeneratorSet:
 
 
 ORACLE_CAP_SUM = 24
+
+
+def reference_cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Yield (caps, generator set) for the first cap vector of each new normal
+    form, in ascending lex order over {1..cap_max}^n.  ``check_grid`` runs
+    before the first vector; one engine's memo serves the whole grid, and
+    each normal form is evaluated once."""
+    check_grid(graph.n, cap_max)
+    engine = PowerEngine(graph, node_budget)
+    seen = set()
+    for caps in product(range(1, cap_max + 1), repeat=graph.n):
+        norm = normalize_caps(graph, caps)
+        if norm in seen:
+            continue
+        seen.add(norm)
+        yield caps, engine.generators(norm)
 
 
 def brute_force_oracle(g: Graph, caps):

@@ -149,8 +149,17 @@ def test_scan_conjecture_small(capsys):
 
 
 def test_scan_conjecture_refuses_oversized_scan_before_building(capsys, monkeypatch):
-    # the grid bound comes before the engine's 32 vertices, as in the search
     monkeypatch.setattr(corpus, "unicyclic_up_to", unbuilt)
+
+    def refused(max_n, cap_max, message):
+        start = time.perf_counter()
+        argv = ("--max-n", str(max_n), "--cap-max", str(cap_max), "--json")
+        code, out, err = run(capsys, "scan-conjecture", *argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    # the grid bound comes before the engine's 32 vertices, as in the search
     for max_n, cap_max, message in (
         (33, 2, "grid of 8589934592 cap vectors exceeds the limit 2000000"),
         (21, 2, "grid of 2097152 cap vectors exceeds the limit 2000000"),
@@ -160,12 +169,22 @@ def test_scan_conjecture_refuses_oversized_scan_before_building(capsys, monkeypa
         with pytest.raises(ValueError if cap_max == 1 else BudgetError) as search:
             search_sep_counterexample(cycle(max_n), cap_max)
         assert str(search.value) == message
-        start = time.perf_counter()
-        argv = ("--max-n", str(max_n), "--cap-max", str(cap_max), "--json")
-        code, out, err = run(capsys, "scan-conjecture", *argv)
-        assert time.perf_counter() - start < 0.1
-        assert code == 1 and out == ""
-        assert err == f"error: {message}\n"
+        refused(max_n, cap_max, message)
+    # each graph's grid passes, but the corpus's cap vectors in all do not;
+    # the sum stops at the first vertex count past the limit
+    for max_n, cap_max, total, top in (
+        (11, 2, 4522376, 11),
+        (20, 2, 4522376, 11),
+        (9, 3, 5390901, 9),
+        (18, 1, 3861222, 18),
+        (32, 1, 3861222, 18),
+    ):
+        refused(
+            max_n,
+            cap_max,
+            f"scan of {total} cap vectors over the unicyclic graphs on 3..{top} "
+            "vertices exceeds the limit 2000000",
+        )
 
 
 def test_scan_conjecture_refuses_vacuous_bounds(capsys, monkeypatch):

@@ -29,6 +29,18 @@ def test_unicyclic_counts_match_known_enumeration():
             assert structure_probe(g).is_unicyclic
 
 
+def test_unicyclic_count_table_matches_the_corpus():
+    assert sorted(corpus.UNICYCLIC_COUNTS) == list(range(3, 19))
+    for n in range(3, 11):
+        assert len(corpus.all_unicyclic(n)) == corpus.UNICYCLIC_COUNTS[n]
+
+
+def test_scan_bound_accepts_scans_within_the_limit():
+    # cap vectors over the corpus: 823,688, 666,981 and the criterion-11 5,256
+    for max_n, cap_max in ((10, 2), (8, 3), (7, 2), (17, 1)):
+        corpus.check_unicyclic_scan(max_n, cap_max)
+
+
 def test_corpora_have_no_isomorphic_duplicates():
     graphs = corpus.all_unicyclic(6)
     for i in range(len(graphs)):

@@ -15,6 +15,7 @@ from edgepow import (
     cycle,
     detect_veronese,
     enumerate_generators,
+    from_spec,
     graph_from_edges,
     member,
     path,
@@ -24,6 +25,9 @@ from edgepow import (
     sym_exchange_binomials,
     template,
 )
+from edgepow import exchange, powers
+from edgepow.corpus import trees_up_to, unicyclic_up_to
+from edgepow.exchange import cap_grid
 from helpers import (
     SubmodularFunction,
     coverage_function,
@@ -32,6 +36,7 @@ from helpers import (
     random_connected_graph,
     random_coverage_function,
     random_member_set,
+    reference_cap_grid,
     reference_check_exchange,
     reference_check_strong_exchange,
     reference_check_symmetric_exchange,
@@ -271,6 +276,40 @@ def test_import_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cap_grid_matches_the_normalising_walk():
+    # every normal form's first grid vector is its own fixed point, so the
+    # fixed-point test yields what normalising each vector and deduplicating did
+    cases = [
+        (g, cap_max)
+        for g in trees_up_to(8) + unicyclic_up_to(7)
+        for cap_max in (1, 2, 3)
+        if cap_max ** g.n <= 20_000
+    ]
+    cases += [(from_spec(s), 4) for s in ("star:6", "multipartite:2,2,2", "multipartite:3,3")]
+    for g, cap_max in cases:
+        walked = []
+        for caps, gens in cap_grid(g, cap_max):
+            assert gens.caps == caps
+            walked.append((caps, gens.delta, gens.members))
+        reference = [
+            (caps, gens.delta, gens.members) for caps, gens in reference_cap_grid(g, cap_max)
+        ]
+        assert walked == reference, (g, cap_max)
+
+
+def test_grid_search_never_normalises(monkeypatch):
+    expected = search_sep_counterexample(path(7), 2)
+
+    def refuse(*args):
+        raise AssertionError("normalize_caps called")
+
+    for module in (exchange, powers):
+        monkeypatch.setattr(module, "normalize_caps", refuse)
+    found = search_sep_counterexample(path(7), 2)
+    assert found[0] == expected[0] == (1, 1, 1, 1, 2, 1, 1)
+    assert found[1].to_json() == expected[1].to_json()
 
 
 def test_search_grid_budget():

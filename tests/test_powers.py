@@ -62,6 +62,17 @@ def test_normalize_idempotent_and_w_invariant():
         assert enumerate_generators(g, caps).members == enumerate_generators(g, norm).members
 
 
+def test_normal_form_is_a_smaller_grid_vector():
+    # the lemma behind ``exchange.cap_grid``: with no isolated vertex the
+    # normal form stays positive and never exceeds the caps it came from
+    rng = random.Random(12)
+    for _ in range(200):
+        g = random_connected_graph(rng)
+        caps = random_caps(rng, g.n, cap_max=5)
+        norm = normalize_caps(g, caps)
+        assert all(1 <= a <= b for a, b in zip(norm, caps)), (g, caps, norm)
+
+
 def test_caps_validation():
     with pytest.raises(ValueError, match="length"):
         delta(K2, (1, 1, 1))
