@@ -353,7 +353,7 @@ class CrossValidation:
         }
 
 
-def lift_failing_caps(g: Graph, base_graph: Graph, base_caps):
+def lift_failing_caps(g: Graph, base_graph: Graph, base_caps, node_budget=DEFAULT_NODE_BUDGET):
     """Transplant a failing cap vector from an induced copy of ``base_graph``.
 
     Finds an induced embedded copy of base_graph inside g reachable by leaf
@@ -365,7 +365,7 @@ def lift_failing_caps(g: Graph, base_graph: Graph, base_caps):
     """
     if base_graph.n > g.n:
         return None
-    engine = PowerEngine(g)
+    engine = PowerEngine(g, node_budget)
     for subset in combinations(range(1, g.n + 1), base_graph.n):
         inside = set(subset)
         # counting induced edges is much cheaper than building the copy
@@ -405,7 +405,7 @@ def cross_validate(
     Positive verdicts must survive the full cap grid.  Negative verdicts
     need a grid counterexample, or a failing cap vector lifted from one of
     the registered fixture instances (some known failures need caps above
-    any small grid).
+    any small grid).  ``node_budget`` bounds every engine, grid and lifts.
     """
     probe = structure_probe(g)
     if probe.is_tree:
@@ -426,7 +426,7 @@ def cross_validate(
     from .fixtures import failing_instances
 
     for base_graph, base_caps in failing_instances():
-        lifted = lift_failing_caps(g, base_graph, base_caps)
+        lifted = lift_failing_caps(g, base_graph, base_caps, node_budget)
         if lifted is not None:
             caps, report = lifted
             return CrossValidation(verdict, True, "fixture-lift", caps, report)

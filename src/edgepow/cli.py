@@ -181,7 +181,7 @@ def _cmd_scan(args) -> int:
     check_grid(args.max_n, args.cap_max)
     corpus.check_unicyclic_scan(args.max_n, args.cap_max)
     graphs = corpus.unicyclic_up_to(args.max_n)
-    report = toric.conjecture_scan(graphs, args.cap_max, args.m_max)
+    report = toric.conjecture_scan(graphs, args.cap_max, args.m_max, node_budget=args.budget)
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -256,11 +256,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("search", help="cap-grid counterexample search")
     p.add_argument("graph")
     p.add_argument("--cap-max", type=int, default=2)
-    p.add_argument(
-        "--threads",
-        type=int,
-        help="accepted for compatibility; the search runs in one process",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 

@@ -273,12 +273,8 @@ def check_grid(n: int, cap_max: int) -> None:
 
 def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
     """Yield (caps, generator set) for each grid vector of {1..cap_max}^n that
-    is its own normal form, in ascending lex order.
-
-    Lemma (module docstring): the normal form X of a grid vector c has
-    1 <= X <= c, so X is a grid vector at or before c in lex order and is its
-    own normal form; X is therefore the first vector of its normal form, and
-    each generator set is evaluated once, for its fixed point.  A vertex of
+    is its own normal form, in ascending lex order: by the lemma in the module
+    docstring, once per normal form and without normalising.  A vertex of
     degree >= cap_max has a neighbour sum of at least cap_max, so only the
     others are tested.  ``check_grid`` runs before the first vector; one
     engine's memo serves the whole grid, and no per-vector state is kept."""

@@ -1,12 +1,16 @@
 """Curated regression instances with frozen expected outcomes.
 
 Each fixture pins a small graph and cap vector to machine-checkable facts:
-the top degree, sample generators and non-generators, a strong-exchange
-verdict, and for failing instances an explicit swap (u, v, xi, rho) whose
-moved monomial leaves the generator set and is divisible by a stated
-witness monomial.  A few fixtures additionally freeze the entire generator
-set, the quadratic exchange relations, and fiber connectivity bounds.
+the top degree, sample non-generators, a strong-exchange verdict, and for
+failing instances an explicit swap (u, v, xi, rho) whose moved monomial
+leaves the generator set and is divisible by a stated witness monomial.
+A few fixtures additionally freeze the entire generator set, the quadratic
+exchange relations, and fiber connectivity bounds.
 
+Each fact is stated once.  ``run_fixture`` derives the rest: the swap's u
+and v are checked as generators, and the Veronese verdict is expected to
+equal the strong-exchange verdict (the paper's main theorem), with the
+decomposition expanded back to the generator set on passing fixtures.
 The registry is declarative data; ``run_fixture`` evaluates every
 expectation through the public library operations.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import toric
-from .exchange import check_strong_exchange, detect_veronese
+from .exchange import _swap, check_strong_exchange, detect_veronese
 from .graph import Graph, from_spec
 from .powers import DEFAULT_NODE_BUDGET, PowerEngine, member
 
@@ -42,10 +46,8 @@ class Fixture:
     caps: tuple
     delta: int
     strong: str  # "pass" | "fail"
-    members: tuple = ()
     non_members: tuple = ()
     swap: Swap | None = None
-    veronese: bool | None = None
     size: int | None = None
     exact_members: tuple | None = None
     binomials: tuple | None = None  # canonical (i, j, i0, j0) quadruples
@@ -60,7 +62,6 @@ REGISTRY = (
         caps=(2, 1, 2, 1, 1, 1, 2, 1),
         delta=4,
         strong="fail",
-        members=((2, 1, 1, 1, 1, 1, 0, 1), (0, 1, 2, 1, 0, 1, 2, 1)),
         swap=Swap(
             u=(2, 1, 1, 1, 1, 1, 0, 1),
             v=(0, 1, 2, 1, 0, 1, 2, 1),
@@ -68,7 +69,6 @@ REGISTRY = (
             rho=3,
             divisor=(2, 1, 2, 0, 0, 0, 0, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="cyc9",
@@ -76,7 +76,6 @@ REGISTRY = (
         caps=(2, 1, 2, 1, 1, 1, 2, 1, 1),
         delta=5,
         strong="fail",
-        members=((2, 1, 1, 1, 1, 1, 1, 1, 1), (1, 1, 2, 1, 0, 1, 2, 1, 1)),
         swap=Swap(
             u=(2, 1, 1, 1, 1, 1, 1, 1, 1),
             v=(1, 1, 2, 1, 0, 1, 2, 1, 1),
@@ -84,7 +83,6 @@ REGISTRY = (
             rho=3,
             divisor=(2, 1, 2, 0, 0, 0, 0, 0, 0),
         ),
-        veronese=False,
     ),
     # Paths of length >= 7 with caps 2 at positions 3 and 7.
     Fixture(
@@ -93,7 +91,6 @@ REGISTRY = (
         caps=(1, 1, 2, 1, 1, 1, 2),
         delta=3,
         strong="fail",
-        members=((1, 1, 1, 1, 1, 1, 0), (0, 1, 2, 1, 0, 1, 1)),
         swap=Swap(
             u=(1, 1, 1, 1, 1, 1, 0),
             v=(0, 1, 2, 1, 0, 1, 1),
@@ -101,7 +98,6 @@ REGISTRY = (
             rho=3,
             divisor=(1, 1, 2, 0, 0, 0, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="path8",
@@ -109,7 +105,6 @@ REGISTRY = (
         caps=(1, 1, 2, 1, 1, 1, 2, 1),
         delta=4,
         strong="fail",
-        members=((1, 1, 1, 1, 1, 1, 1, 1), (0, 1, 2, 1, 0, 1, 2, 1)),
         swap=Swap(
             u=(1, 1, 1, 1, 1, 1, 1, 1),
             v=(0, 1, 2, 1, 0, 1, 2, 1),
@@ -117,7 +112,6 @@ REGISTRY = (
             rho=3,
             divisor=(1, 1, 2, 0, 0, 0, 0, 0),
         ),
-        veronese=False,
     ),
     # Triangle with a fork: has a triangle, independence number 3, fails.
     Fixture(
@@ -126,7 +120,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1),
         delta=2,
         strong="fail",
-        members=((1, 0, 1, 1, 1, 0), (0, 1, 1, 1, 0, 1)),
         non_members=((0, 0, 1, 1, 1, 1),),
         swap=Swap(
             u=(1, 0, 1, 1, 1, 0),
@@ -135,7 +128,6 @@ REGISTRY = (
             rho=6,
             divisor=(0, 0, 1, 1, 1, 1),
         ),
-        veronese=False,
     ),
     # Paths with two pendant edges on each endpoint, all caps 1.
     Fixture(
@@ -144,7 +136,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1),
         delta=2,
         strong="fail",
-        members=((1, 1, 1, 0, 1, 0), (1, 1, 0, 1, 0, 1)),
         swap=Swap(
             u=(1, 1, 1, 0, 1, 0),
             v=(1, 1, 0, 1, 0, 1),
@@ -152,7 +143,6 @@ REGISTRY = (
             rho=4,
             divisor=(1, 0, 1, 1, 0, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="forkedpath3",
@@ -160,7 +150,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1, 1),
         delta=2,
         strong="fail",
-        members=((1, 0, 1, 1, 0, 1, 0), (1, 0, 1, 0, 1, 0, 1)),
         swap=Swap(
             u=(1, 0, 1, 1, 0, 1, 0),
             v=(1, 0, 1, 0, 1, 0, 1),
@@ -168,7 +157,6 @@ REGISTRY = (
             rho=5,
             divisor=(1, 0, 0, 1, 1, 0, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="forkedpath4",
@@ -176,7 +164,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 1, 1, 1, 0, 1, 0), (1, 1, 1, 1, 0, 1, 0, 1)),
         swap=Swap(
             u=(1, 1, 1, 1, 1, 0, 1, 0),
             v=(1, 1, 1, 1, 0, 1, 0, 1),
@@ -184,7 +171,6 @@ REGISTRY = (
             rho=6,
             divisor=(1, 0, 0, 0, 1, 1, 0, 0),
         ),
-        veronese=False,
     ),
     # Spider with legs 1, 1, 3: the forbidden induced subtree.
     Fixture(
@@ -193,7 +179,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1),
         delta=2,
         strong="fail",
-        members=((1, 1, 0, 0, 1, 1), (0, 1, 1, 1, 1, 0)),
         swap=Swap(
             u=(1, 1, 0, 0, 1, 1),
             v=(0, 1, 1, 1, 1, 0),
@@ -201,7 +186,6 @@ REGISTRY = (
             rho=3,
             divisor=(1, 1, 1, 0, 0, 0),
         ),
-        veronese=False,
     ),
     # Unicyclic counterexamples, cycle length 7 down to 3.
     Fixture(
@@ -210,7 +194,6 @@ REGISTRY = (
         caps=(2, 3, 1, 1, 2, 1, 1, 2),
         delta=5,
         strong="fail",
-        members=((2, 1, 1, 1, 2, 1, 0, 2), (2, 3, 1, 1, 1, 1, 1, 0)),
         swap=Swap(
             u=(2, 1, 1, 1, 2, 1, 0, 2),
             v=(2, 3, 1, 1, 1, 1, 1, 0),
@@ -218,7 +201,6 @@ REGISTRY = (
             rho=2,
             divisor=(2, 2, 0, 0, 0, 0, 0, 2),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c6pend",
@@ -226,7 +208,6 @@ REGISTRY = (
         caps=(1, 2, 1, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 1, 1, 1, 0, 1), (1, 2, 1, 0, 1, 1, 0)),
         swap=Swap(
             u=(1, 1, 1, 1, 1, 0, 1),
             v=(1, 2, 1, 0, 1, 1, 0),
@@ -234,7 +215,6 @@ REGISTRY = (
             rho=2,
             divisor=(1, 2, 0, 0, 0, 0, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c5pendad",
@@ -242,7 +222,6 @@ REGISTRY = (
         caps=(1, 2, 1, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 1, 0, 1, 1, 1), (1, 2, 1, 1, 1, 0, 0)),
         swap=Swap(
             u=(1, 1, 1, 0, 1, 1, 1),
             v=(1, 2, 1, 1, 1, 0, 0),
@@ -250,7 +229,6 @@ REGISTRY = (
             rho=2,
             divisor=(1, 2, 0, 0, 0, 1, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c5pendnoad",
@@ -258,7 +236,6 @@ REGISTRY = (
         caps=(1, 2, 1, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 1, 1, 0, 1, 1), (1, 2, 1, 1, 1, 0, 0)),
         swap=Swap(
             u=(1, 1, 1, 1, 0, 1, 1),
             v=(1, 2, 1, 1, 1, 0, 0),
@@ -266,7 +243,6 @@ REGISTRY = (
             rho=2,
             divisor=(1, 2, 0, 0, 0, 1, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c5twopend",
@@ -274,7 +250,6 @@ REGISTRY = (
         caps=(1, 1, 2, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 2, 1, 0, 1, 0), (1, 1, 1, 1, 1, 0, 1)),
         swap=Swap(
             u=(1, 1, 2, 1, 0, 1, 0),
             v=(1, 1, 1, 1, 1, 0, 1),
@@ -282,7 +257,6 @@ REGISTRY = (
             rho=7,
             divisor=(1, 0, 0, 0, 0, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c5path",
@@ -290,7 +264,6 @@ REGISTRY = (
         caps=(1, 1, 1, 2, 1, 2, 1, 1),
         delta=4,
         strong="fail",
-        members=((1, 0, 1, 2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2, 1, 0)),
         swap=Swap(
             u=(1, 0, 1, 2, 1, 1, 1, 1),
             v=(1, 1, 1, 1, 1, 2, 1, 0),
@@ -298,7 +271,6 @@ REGISTRY = (
             rho=6,
             divisor=(0, 0, 0, 0, 0, 2, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c5star",
@@ -306,7 +278,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 1, 1, 0, 1, 1, 0), (1, 1, 0, 1, 1, 1, 0, 1)),
         swap=Swap(
             u=(1, 1, 1, 1, 0, 1, 1, 0),
             v=(1, 1, 0, 1, 1, 1, 0, 1),
@@ -314,7 +285,6 @@ REGISTRY = (
             rho=8,
             divisor=(0, 0, 0, 0, 0, 1, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c4twopend",
@@ -322,7 +292,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1),
         delta=2,
         strong="fail",
-        members=((1, 1, 1, 0, 1, 0), (1, 0, 1, 1, 0, 1)),
         swap=Swap(
             u=(1, 1, 1, 0, 1, 0),
             v=(1, 0, 1, 1, 0, 1),
@@ -330,7 +299,6 @@ REGISTRY = (
             rho=6,
             divisor=(1, 0, 0, 0, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c4pendpath",
@@ -338,7 +306,6 @@ REGISTRY = (
         caps=(1, 1, 2, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((0, 1, 1, 1, 1, 1, 1), (1, 1, 2, 1, 1, 0, 0)),
         swap=Swap(
             u=(0, 1, 1, 1, 1, 1, 1),
             v=(1, 1, 2, 1, 1, 0, 0),
@@ -346,7 +313,6 @@ REGISTRY = (
             rho=3,
             divisor=(0, 0, 2, 1, 0, 0, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c4twopath",
@@ -354,7 +320,6 @@ REGISTRY = (
         caps=(3, 1, 3, 1, 3, 3, 3, 3),
         delta=8,
         strong="fail",
-        members=((2, 1, 3, 1, 3, 3, 3, 0), (3, 1, 2, 1, 3, 0, 3, 3)),
         swap=Swap(
             u=(2, 1, 3, 1, 3, 3, 3, 0),
             v=(3, 1, 2, 1, 3, 0, 3, 3),
@@ -362,7 +327,6 @@ REGISTRY = (
             rho=1,
             divisor=(3, 0, 0, 0, 3, 3, 0, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c4star",
@@ -370,7 +334,6 @@ REGISTRY = (
         caps=(1, 2, 1, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 2, 1, 0, 1, 1, 0), (1, 1, 1, 1, 1, 0, 1)),
         swap=Swap(
             u=(1, 2, 1, 0, 1, 1, 0),
             v=(1, 1, 1, 1, 1, 0, 1),
@@ -378,7 +341,6 @@ REGISTRY = (
             rho=7,
             divisor=(0, 0, 0, 0, 1, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c4tpathlong",
@@ -386,7 +348,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 2, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 0, 1, 1, 1, 1, 1), (1, 1, 1, 0, 2, 1, 0)),
         swap=Swap(
             u=(1, 0, 1, 1, 1, 1, 1),
             v=(1, 1, 1, 0, 2, 1, 0),
@@ -394,7 +355,6 @@ REGISTRY = (
             rho=5,
             divisor=(0, 0, 0, 0, 2, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c3threepend",
@@ -402,7 +362,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 1, 1),
         delta=2,
         strong="fail",
-        members=((1, 1, 0, 1, 0, 1), (1, 1, 1, 0, 1, 0)),
         swap=Swap(
             u=(1, 1, 0, 1, 0, 1),
             v=(1, 1, 1, 0, 1, 0),
@@ -410,7 +369,6 @@ REGISTRY = (
             rho=5,
             divisor=(1, 0, 0, 1, 1, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c3pathpend",
@@ -418,7 +376,6 @@ REGISTRY = (
         caps=(1, 1, 1, 2, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 0, 1, 1, 1, 1), (1, 1, 1, 2, 1, 0, 0)),
         swap=Swap(
             u=(1, 1, 0, 1, 1, 1, 1),
             v=(1, 1, 1, 2, 1, 0, 0),
@@ -426,7 +383,6 @@ REGISTRY = (
             rho=4,
             divisor=(0, 0, 0, 2, 1, 1, 0),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c3pathstar",
@@ -434,7 +390,6 @@ REGISTRY = (
         caps=(2, 1, 1, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((2, 1, 0, 1, 1, 1, 0), (1, 1, 1, 1, 1, 0, 1)),
         swap=Swap(
             u=(2, 1, 0, 1, 1, 1, 0),
             v=(1, 1, 1, 1, 1, 0, 1),
@@ -442,7 +397,6 @@ REGISTRY = (
             rho=7,
             divisor=(0, 0, 0, 0, 1, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c3path4",
@@ -450,7 +404,6 @@ REGISTRY = (
         caps=(1, 1, 1, 1, 2, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 0, 1, 1, 1, 1), (1, 0, 1, 1, 2, 1, 0)),
         swap=Swap(
             u=(1, 1, 0, 1, 1, 1, 1),
             v=(1, 0, 1, 1, 2, 1, 0),
@@ -458,7 +411,6 @@ REGISTRY = (
             rho=5,
             divisor=(0, 0, 0, 0, 2, 1, 1),
         ),
-        veronese=False,
     ),
     Fixture(
         name="c3path3pend",
@@ -466,7 +418,6 @@ REGISTRY = (
         caps=(1, 1, 2, 1, 1, 1, 1),
         delta=3,
         strong="fail",
-        members=((1, 1, 1, 0, 1, 1, 1), (1, 1, 2, 1, 1, 0, 0)),
         swap=Swap(
             u=(1, 1, 1, 0, 1, 1, 1),
             v=(1, 1, 2, 1, 1, 0, 0),
@@ -474,7 +425,6 @@ REGISTRY = (
             rho=3,
             divisor=(1, 0, 2, 0, 0, 0, 1),
         ),
-        veronese=False,
     ),
     # The fully worked toric instance: exact generators, exact quadrics,
     # fibers connected through degree 3.
@@ -496,7 +446,6 @@ REGISTRY = (
         non_members=((1, 1, 0, 2, 1, 1, 0), (2, 1, 1, 1, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
         binomials=((1, 4, 2, 3), (1, 6, 2, 5), (3, 6, 4, 5)),
         fiber_m=3,
-        veronese=False,
     ),
     # Instances that keep the strong exchange property.
     Fixture(
@@ -506,7 +455,6 @@ REGISTRY = (
         delta=2,
         strong="pass",
         size=5,
-        veronese=True,
         fiber_m=3,
     ),
     Fixture(
@@ -516,7 +464,6 @@ REGISTRY = (
         delta=5,
         strong="pass",
         size=3,
-        veronese=True,
         fiber_m=3,
     ),
     Fixture(
@@ -526,7 +473,6 @@ REGISTRY = (
         delta=4,
         strong="pass",
         size=13,
-        veronese=True,
         fiber_m=3,
     ),
     Fixture(
@@ -536,7 +482,6 @@ REGISTRY = (
         delta=4,
         strong="pass",
         size=6,
-        veronese=True,
         fiber_m=3,
     ),
     Fixture(
@@ -546,7 +491,6 @@ REGISTRY = (
         delta=4,
         strong="pass",
         size=6,
-        veronese=True,
         fiber_m=3,
     ),
     Fixture(
@@ -557,7 +501,6 @@ REGISTRY = (
         strong="pass",
         size=3,
         exact_members=((1, 2, 0, 3), (1, 1, 1, 3), (0, 2, 1, 3)),
-        veronese=True,
         fiber_m=3,
     ),
     Fixture(
@@ -567,7 +510,6 @@ REGISTRY = (
         delta=4,
         strong="pass",
         size=4,
-        veronese=True,
         fiber_m=3,
     ),
 )
@@ -616,8 +558,10 @@ def run_fixture(fixture: Fixture, node_budget: int = DEFAULT_NODE_BUDGET) -> Fix
     engine = PowerEngine(g, node_budget)
     gens = engine.generators(fixture.caps)
     res.add("delta", gens.delta == fixture.delta, f"got {gens.delta}, want {fixture.delta}")
-    for vec in fixture.members:
-        res.add("member", member(gens, vec), str(vec))
+    sw = fixture.swap
+    if sw is not None:
+        res.add("member", member(gens, sw.u), str(sw.u))
+        res.add("member", member(gens, sw.v), str(sw.v))
     for vec in fixture.non_members:
         res.add("non-member", not member(gens, vec), str(vec))
     if fixture.size is not None:
@@ -628,16 +572,12 @@ def run_fixture(fixture: Fixture, node_budget: int = DEFAULT_NODE_BUDGET) -> Fix
             gens.members == frozenset(fixture.exact_members),
             f"{len(gens)} members",
         )
-    sw = fixture.swap
     if sw is not None:
         res.add("swap-u", member(gens, sw.u), str(sw.u))
         res.add("swap-v", member(gens, sw.v), str(sw.v))
         res.add("swap-up", sw.u[sw.xi - 1] > sw.v[sw.xi - 1], f"xi={sw.xi}")
         res.add("swap-down", sw.u[sw.rho - 1] < sw.v[sw.rho - 1], f"rho={sw.rho}")
-        moved = list(sw.u)
-        moved[sw.xi - 1] -= 1
-        moved[sw.rho - 1] += 1
-        moved = tuple(moved)
+        moved = _swap(sw.u, sw.xi - 1, sw.rho - 1)
         res.add("swap-missing", not member(gens, moved), str(moved))
         res.add(
             "swap-divisor",
@@ -647,11 +587,10 @@ def run_fixture(fixture: Fixture, node_budget: int = DEFAULT_NODE_BUDGET) -> Fix
     strong = check_strong_exchange(gens)
     want_pass = fixture.strong == "pass"
     res.add("strong", strong.ok == want_pass, strong.to_json()["verdict"])
-    if fixture.veronese is not None:
-        decomp = detect_veronese(gens)
-        res.add("veronese", (decomp is not None) == fixture.veronese, str(decomp))
-        if decomp is not None and fixture.veronese:
-            res.add("veronese-expand", decomp.expand() == gens.members)
+    decomp = detect_veronese(gens)
+    res.add("veronese", (decomp is not None) == want_pass, str(decomp))
+    if decomp is not None and want_pass:
+        res.add("veronese-expand", decomp.expand() == gens.members)
     if fixture.binomials is not None:
         got = {
             (b.i, b.j, b.i0, b.j0) for b in toric.sym_exchange_binomials(gens)

@@ -38,7 +38,7 @@ from math import comb
 
 from .exchange import _member_set, _moves, cap_grid, check_cap_max, check_strong_exchange
 # perfbench/spans.py patches normalize_caps and check_strong_exchange by name here
-from .powers import BudgetError, GeneratorSet, normalize_caps  # noqa: F401
+from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_caps  # noqa: F401
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
 
@@ -305,7 +305,7 @@ class ScanInstance:
     edges: tuple
     caps: tuple
     members: int
-    status: str  # "ok" | "violation" | "budget"
+    status: str  # "violation" | "budget"
     failure: tuple | None = None
 
     def to_json(self) -> dict:
@@ -362,11 +362,13 @@ def conjecture_scan(
     m_max: int = 3,
     fiber_budget: int = DEFAULT_FIBER_BUDGET,
     on_instance=None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ScanReport:
     """Fiber-connectivity sweep over unicyclic graphs, each over ``cap_grid``.
 
     A graph whose grid ``cap_grid`` refuses raises before any of its
-    instances.  Fiber budget overruns are recorded per instance and the
+    instances, and an engine that exhausts ``node_budget`` raises
+    BudgetError.  Fiber budget overruns are recorded per instance and the
     scan continues.  The returned report lists every disconnected fiber
     found; a clean report certifies generation by the exchange quadrics
     through degree m_max on the swept instances.
@@ -378,7 +380,7 @@ def conjecture_scan(
     violations = []
     skips = []
     for gi, g in enumerate(graphs):
-        for _, gens in cap_grid(g, cap_max):
+        for _, gens in cap_grid(g, cap_max, node_budget):
             if check_strong_exchange(gens).ok:
                 strong_pass += 1
             else:
@@ -408,11 +410,5 @@ def conjecture_scan(
             if on_instance is not None:
                 on_instance(gi, gens.caps, report)
     return ScanReport(
-        cap_max,
-        m_max,
-        instances,
-        tuple(violations),
-        tuple(skips),
-        strong_pass,
-        strong_fail,
+        cap_max, m_max, instances, tuple(violations), tuple(skips), strong_pass, strong_fail
     )

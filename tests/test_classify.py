@@ -341,6 +341,23 @@ def test_cross_validate_uses_fixture_lift_when_grid_silent():
     assert not cv.report.ok
 
 
+def test_cross_validate_budget_reaches_every_engine(monkeypatch):
+    from edgepow.powers import PowerEngine
+
+    budgets = []
+    init = PowerEngine.__init__
+
+    def recording(self, graph, node_budget):
+        budgets.append(node_budget)
+        init(self, graph, node_budget)
+
+    monkeypatch.setattr(PowerEngine, "__init__", recording)
+    cv = cross_validate(template("c7pend"), 1, node_budget=5000)
+    assert cv.evidence == "fixture-lift"
+    # the grid's engine and one per lift attempt
+    assert len(budgets) > 1 and set(budgets) == {5000}
+
+
 def test_lift_failing_caps_direct():
     # embed the c4star instance into itself plus one extra leaf
     base = template("c4star")

@@ -106,16 +106,20 @@ def test_over_limit_graph_file_exits_1_with_one_line(capsys, tmp_path):
     )
 
 
-def test_search_threads_accepted_without_effect(capsys):
-    outs = []
-    for threads in ("1", "2"):
-        code, out, _ = run(
-            capsys, "search", "cycle:10", "--cap-max", "3", "--json", "--threads", threads
-        )
-        assert code == 2
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["counterexample"] == [1, 1, 1, 1, 1, 1, 1, 2, 1, 2]
+def test_search_threads_is_a_usage_error(capsys):
+    code, out, _ = run(capsys, "search", "cycle:5", "--threads", "2")
+    assert code == 1 and out == ""
+    code, out, _ = run(capsys, "search", "cycle:10", "--cap-max", "3", "--json")
+    assert code == 2
+    assert json.loads(out)["counterexample"] == [1, 1, 1, 1, 1, 1, 1, 2, 1, 2]
+
+
+def test_budget_reaches_scan_conjecture(capsys):
+    code, out, err = run(capsys, "--budget", "1", "scan-conjecture", "--max-n", "4")
+    assert code == 1 and out == ""
+    assert err == "error: node budget 1 exhausted\n"
+    code, out, _ = run(capsys, "--budget", "1", "search", "cycle:4")
+    assert code == 1 and out == ""
 
 
 def test_search_modes(capsys):

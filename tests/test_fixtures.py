@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+
 from edgepow import fixtures
+from edgepow.cli import main
 
 
 def test_registry_size_and_names_unique():
@@ -21,11 +25,26 @@ def test_every_fixture_passes():
         assert result.ok, (fixture.name, failed)
 
 
-def test_swap_data_is_coherent():
-    # the stored swap witnesses reference the stored members
+def test_swap_fits_its_instance():
+    # u and v are degree-delta products of edges on the fixture's n vertices
     for fixture in fixtures.REGISTRY:
-        if fixture.swap is None:
+        sw = fixture.swap
+        if sw is None:
             continue
-        assert fixture.swap.u in fixture.members
-        assert fixture.swap.v in fixture.members
-        assert len(fixture.swap.divisor) == len(fixture.caps)
+        n = len(fixture.caps)
+        for vec in (sw.u, sw.v):
+            assert len(vec) == n and sum(vec) == 2 * fixture.delta, fixture.name
+        assert 1 <= sw.xi <= n and 1 <= sw.rho <= n, fixture.name
+        assert len(sw.divisor) == n, fixture.name
+
+
+def test_derived_facts_are_not_stored():
+    fields = {f.name for f in dataclasses.fields(fixtures.Fixture)}
+    assert not fields & {"members", "veronese"}
+
+
+def test_repro_all_json_is_pinned(capsys):
+    assert main(["repro", "--all", "--json"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha1(out.encode()).hexdigest()
+    assert digest == "ed119269a70810aaaf0e82690f9aa67611faec8d"

@@ -295,6 +295,11 @@ def test_conjecture_scan_refuses_over_limit_grid_before_its_instances(monkeypatc
     assert sizes and set(sizes) == {3}
 
 
+def test_conjecture_scan_honours_the_node_budget():
+    with pytest.raises(BudgetError, match="node budget 1 exhausted"):
+        conjecture_scan([cycle(4)], 2, node_budget=1)
+
+
 def test_search_and_scan_walk_the_same_normal_forms(monkeypatch):
     calls = _record_generators(monkeypatch, lambda engine, caps: caps)
     # a clean grid, so the search walks all of it
