@@ -19,7 +19,8 @@ tags:
 grid for positive verdicts; for negative verdicts a grid counterexample or
 a failing cap vector lifted from a registered fixture instance through
 leaf re-attachment (add a leaf, bump its support cap by one, cap 1 on the
-leaf), which preserves strong-exchange failure.
+leaf), which preserves strong-exchange failure.  Lifts run on the caller's
+engine and test peel-reachability before isomorphism.
 """
 from __future__ import annotations
 
@@ -353,24 +354,28 @@ class CrossValidation:
         }
 
 
-def lift_failing_caps(g: Graph, base_graph: Graph, base_caps, node_budget=DEFAULT_NODE_BUDGET):
+def lift_failing_caps(engine: PowerEngine, base_graph: Graph, base_caps):
     """Transplant a failing cap vector from an induced copy of ``base_graph``.
 
-    Finds an induced embedded copy of base_graph inside g reachable by leaf
-    deletions, then re-attaches the deleted leaves one by one: each leaf
-    gets cap 1 and its support vertex gains 1.  Failure of the strong
-    exchange property survives each re-attachment, so the lifted caps fail
-    on g whenever the base caps fail on base_graph.  The result is verified
-    before being returned; returns (caps, report) or None.
+    Finds an induced embedded copy of base_graph inside g = engine.graph
+    reachable by leaf deletions, then re-attaches the deleted leaves one by
+    one: each leaf gets cap 1 and its support vertex gains 1.  Failure of
+    the strong exchange property survives each re-attachment, so the lifted
+    caps fail on g whenever the base caps fail on base_graph.  The result is
+    verified on the engine; returns (caps, report) or None.
     """
+    g = engine.graph
     if base_graph.n > g.n:
         return None
-    engine = PowerEngine(g, node_budget)
     for subset in combinations(range(1, g.n + 1), base_graph.n):
         inside = set(subset)
-        # counting induced edges is much cheaper than building the copy
+        # counting induced edges and peeling, which depends only on the
+        # subset, are much cheaper than the copy and its isomorphism search
         induced = [1 for u, v in g.edges if u in inside and v in inside]
         if len(induced) != len(base_graph.edges):
+            continue
+        order, left = peel_leaves(g, subset)
+        if left != inside:
             continue
         try:
             sub, _ = induced_subgraph(g, subset)
@@ -378,9 +383,6 @@ def lift_failing_caps(g: Graph, base_graph: Graph, base_caps, node_budget=DEFAUL
             continue
         iso = corpus.find_isomorphism(base_graph, sub)
         if iso is None:
-            continue
-        order, left = peel_leaves(g, subset)
-        if left != inside:
             continue
         caps = {}
         for bv, cap in zip(range(1, base_graph.n + 1), base_caps):
@@ -405,7 +407,8 @@ def cross_validate(
     Positive verdicts must survive the full cap grid.  Negative verdicts
     need a grid counterexample, or a failing cap vector lifted from one of
     the registered fixture instances (some known failures need caps above
-    any small grid).  ``node_budget`` bounds every engine, grid and lifts.
+    any small grid).  ``node_budget`` bounds the grid's engine, and the one
+    engine all fixture lifts share: the lifts together, not each lift.
     """
     probe = structure_probe(g)
     if probe.is_tree:
@@ -425,8 +428,9 @@ def cross_validate(
         return CrossValidation(verdict, True, "grid-counterexample", caps, report)
     from .fixtures import failing_instances
 
+    engine = PowerEngine(g, node_budget)
     for base_graph, base_caps in failing_instances():
-        lifted = lift_failing_caps(g, base_graph, base_caps, node_budget)
+        lifted = lift_failing_caps(engine, base_graph, base_caps)
         if lifted is not None:
             caps, report = lifted
             return CrossValidation(verdict, True, "fixture-lift", caps, report)

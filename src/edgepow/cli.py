@@ -18,7 +18,6 @@ from . import classify as classify_mod
 from . import corpus, fixtures, toric
 from .exchange import (
     check_exchange,
-    check_grid,
     check_strong_exchange,
     check_symmetric_exchange,
     detect_veronese,
@@ -172,14 +171,7 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    # refuse before enumerating a corpus the engine or the cap grid would refuse
-    toric.check_scan_bounds(args.cap_max, args.m_max)
-    if args.max_n < 3:
-        raise ValueError(
-            f"max_n must be >= 3 (no unicyclic graph is smaller), got {args.max_n}"
-        )
-    check_grid(args.max_n, args.cap_max)
-    corpus.check_unicyclic_scan(args.max_n, args.cap_max)
+    toric.check_unicyclic_scan(args.max_n, args.cap_max, args.m_max)
     graphs = corpus.unicyclic_up_to(args.max_n)
     report = toric.conjecture_scan(graphs, args.cap_max, args.m_max, node_budget=args.budget)
     if args.json:

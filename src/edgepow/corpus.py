@@ -1,22 +1,21 @@
 """Exhaustive small-graph corpora and isomorphism helpers.
 
-Generation of all trees and all unicyclic graphs on a given vertex count,
-up to isomorphism, in pure Python.  Trees come from the level-sequence
-generator of Wright, Richmond, Odlyzko and McKay (*Constant time
-generation of free trees*, 1986), ported from ``nx.nonisomorphic_trees``
-with the same trees, order and labels (layout position ``i`` is vertex
-``i + 1``).  Unicyclic graphs add one edge to each tree and keep the first
-graph of each canonical key: the Aho–Hopcroft–Ullman codes of the trees
-hung on the cycle, read around it, least over rotations and reflections.
+The module only generates graphs and tests isomorphism.  It generates all
+trees and all unicyclic graphs on a given vertex count, up to isomorphism,
+in pure Python.  Trees come from the level-sequence generator of Wright,
+Richmond, Odlyzko and McKay (*Constant time generation of free trees*,
+1986), ported from ``nx.nonisomorphic_trees`` with the same trees, order
+and labels (layout position ``i`` is vertex ``i + 1``).  Unicyclic graphs
+add one edge to each tree and keep the first graph of each canonical key:
+the Aho–Hopcroft–Ullman codes of the trees hung on the cycle, read around
+it, least over rotations and reflections.
 
 networkx is needed only by ``find_isomorphism`` / ``to_networkx`` (fixture
 lifting) and is imported there.
 """
 from __future__ import annotations
 
-from .exchange import GRID_LIMIT
 from .graph import Graph, _unique_cycle, peel_leaves
-from .powers import BudgetError
 
 # connected unicyclic graphs on n vertices, up to isomorphism (OEIS A001429)
 UNICYCLIC_COUNTS = {
@@ -130,21 +129,6 @@ def trees_up_to(n: int) -> tuple:
 
 def unicyclic_up_to(n: int) -> tuple:
     return tuple(g for k in range(3, n + 1) for g in all_unicyclic(k))
-
-
-def check_unicyclic_scan(max_n: int, cap_max: int) -> None:
-    """Refuse, before building the corpus, a scan of every unicyclic graph on
-    3..max_n vertices over {1..cap_max}^n whose cap vectors number more than
-    ``GRID_LIMIT`` in all.  The sum runs in order of n and stops at the
-    first excess; n = 18 alone exceeds the limit, so the table suffices."""
-    total = 0
-    for n in range(3, max_n + 1):
-        total += UNICYCLIC_COUNTS[n] * cap_max ** n
-        if total > GRID_LIMIT:
-            raise BudgetError(
-                f"scan of {total} cap vectors over the unicyclic graphs on "
-                f"3..{n} vertices exceeds the limit {GRID_LIMIT}"
-            )
 
 
 def to_networkx(g: Graph):

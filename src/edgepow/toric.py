@@ -28,7 +28,8 @@ multiset only for a failure witness.  ``fibers`` unpacks every group into
 the public ``Fiber`` form.
 
 ``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
-the walk the strong-exchange counterexample search shares, with its bounds.
+the walk the strong-exchange counterexample search shares, with its bounds;
+``check_unicyclic_scan`` holds every bound of a scan of the unicyclic corpus.
 """
 from __future__ import annotations
 
@@ -36,8 +37,10 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .exchange import _member_set, _moves, cap_grid, check_cap_max, check_strong_exchange
+from .corpus import UNICYCLIC_COUNTS
+from .exchange import GRID_LIMIT, _member_set, _moves, cap_grid, check_cap_max, check_grid
 # perfbench/spans.py patches normalize_caps and check_strong_exchange by name here
+from .exchange import check_strong_exchange
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_caps  # noqa: F401
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
@@ -233,6 +236,12 @@ class ConnectivityReport:
         return out
 
 
+def check_m_max(m_max: int) -> None:
+    """Refuse a fiber degree bound under which nothing would be certified."""
+    if m_max < 2:
+        raise ValueError(f"m_max must be >= 2, got {m_max}")
+
+
 def check_fiber_connectivity(
     w, m_max: int = 3, budget: int = DEFAULT_FIBER_BUDGET
 ) -> ConnectivityReport:
@@ -242,8 +251,7 @@ def check_fiber_connectivity(
     quadratic moves; a disconnected fiber exhibits a kernel binomial that
     the quadrics do not generate.
     """
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
+    check_m_max(m_max)
     bins = sym_exchange_binomials(w)
     ws = _ordered_members(w)
     s = len(ws)
@@ -349,11 +357,25 @@ class ScanReport:
         }
 
 
-def check_scan_bounds(cap_max: int, m_max: int) -> None:
-    """Refuse bounds under which a scan would certify nothing."""
+def check_unicyclic_scan(max_n: int, cap_max: int, m_max: int) -> None:
+    """Refuse, before the corpus is built, a scan of the unicyclic graphs on
+    3..max_n vertices, in this order: a vacuous cap_max, m_max or max_n,
+    ``check_grid`` at max_n, then the corpus's cap vectors, U(n)·cap_max^n
+    summed in order of n, past ``GRID_LIMIT`` (n = 18 alone is past it, so
+    the table ``UNICYCLIC_COUNTS`` suffices)."""
     check_cap_max(cap_max)
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
+    check_m_max(m_max)
+    if max_n < 3:
+        raise ValueError(f"max_n must be >= 3 (no unicyclic graph is smaller), got {max_n}")
+    check_grid(max_n, cap_max)
+    total = 0
+    for n in range(3, max_n + 1):
+        total += UNICYCLIC_COUNTS[n] * cap_max ** n
+        if total > GRID_LIMIT:
+            raise BudgetError(
+                f"scan of {total} cap vectors over the unicyclic graphs on "
+                f"3..{n} vertices exceeds the limit {GRID_LIMIT}"
+            )
 
 
 def conjecture_scan(
@@ -373,8 +395,8 @@ def conjecture_scan(
     found; a clean report certifies generation by the exchange quadrics
     through degree m_max on the swept instances.
     """
-    check_scan_bounds(cap_max, m_max)
-    instances = 0
+    check_cap_max(cap_max)
+    check_m_max(m_max)
     strong_pass = 0
     strong_fail = 0
     violations = []
@@ -385,30 +407,20 @@ def conjecture_scan(
                 strong_pass += 1
             else:
                 strong_fail += 1
-            instances += 1
             try:
                 report = check_fiber_connectivity(gens, m_max, fiber_budget)
             except BudgetError:
-                skips.append(
-                    ScanInstance(
-                        gi, g.n, g.sorted_edges, gens.caps, len(gens), "budget"
-                    )
-                )
-                continue
-            if not report.ok:
-                violations.append(
-                    ScanInstance(
-                        gi,
-                        g.n,
-                        g.sorted_edges,
-                        gens.caps,
-                        len(gens),
-                        "violation",
-                        report.failure,
-                    )
-                )
-            if on_instance is not None:
-                on_instance(gi, gens.caps, report)
+                kept, status, failure = skips, "budget", None
+            else:
+                if on_instance is not None:
+                    on_instance(gi, gens.caps, report)
+                if report.ok:
+                    continue
+                kept, status, failure = violations, "violation", report.failure
+            kept.append(
+                ScanInstance(gi, g.n, g.sorted_edges, gens.caps, len(gens), status, failure)
+            )
+    instances = strong_pass + strong_fail
     return ScanReport(
         cap_max, m_max, instances, tuple(violations), tuple(skips), strong_pass, strong_fail
     )

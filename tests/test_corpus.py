@@ -8,7 +8,7 @@ import pytest
 
 import edgepow
 from edgepow import cycle, graph_from_edges, structure_probe, template
-from edgepow import corpus
+from edgepow import corpus, toric
 from helpers import is_isomorphic, reference_trees, reference_unicyclic
 
 
@@ -38,7 +38,7 @@ def test_unicyclic_count_table_matches_the_corpus():
 def test_scan_bound_accepts_scans_within_the_limit():
     # cap vectors over the corpus: 823,688, 666,981 and the criterion-11 5,256
     for max_n, cap_max in ((10, 2), (8, 3), (7, 2), (17, 1)):
-        corpus.check_unicyclic_scan(max_n, cap_max)
+        toric.check_unicyclic_scan(max_n, cap_max, 3)
 
 
 def test_corpora_have_no_isomorphic_duplicates():
