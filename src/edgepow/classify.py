@@ -20,7 +20,9 @@ grid for positive verdicts; for negative verdicts a grid counterexample or
 a failing cap vector lifted from a registered fixture instance through
 leaf re-attachment (add a leaf, bump its support cap by one, cap 1 on the
 leaf), which preserves strong-exchange failure.  Lifts run on the caller's
-engine and test peel-reachability before isomorphism.
+engine.  A lift first checks that edges minus vertices agree between the
+base and g (leaf peeling keeps that count), then tries in lex order only
+subsets near their least vertex, as connected ones are, peeling each first.
 """
 from __future__ import annotations
 
@@ -29,13 +31,7 @@ from itertools import combinations
 
 from . import corpus
 from .exchange import ExchangeReport, check_strong_exchange, search_sep_counterexample
-from .graph import (
-    Graph,
-    GraphError,
-    induced_subgraph,
-    peel_leaves,
-    structure_probe,
-)
+from .graph import Graph, induced_subgraph, peel_leaves, structure_probe
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, PowerEngine
 
 CMM_STEP_LIMIT = 1_000_000
@@ -363,37 +359,41 @@ def lift_failing_caps(engine: PowerEngine, base_graph: Graph, base_caps):
     the strong exchange property survives each re-attachment, so the lifted
     caps fail on g whenever the base caps fail on base_graph.  The result is
     verified on the engine; returns (caps, report) or None.
+
+    Each leaf deletion removes one vertex and one edge, so a copy exists
+    only when base_graph and g have equal edges minus vertices.  A subset
+    that peeling reaches is connected, as g is, so it lies within k - 1
+    steps of its least vertex through larger labels.  Only such subsets are
+    tried, in the lex order of all k-subsets, so the first copy is the same.
     """
     g = engine.graph
-    if base_graph.n > g.n:
+    k = base_graph.n
+    if len(base_graph.edges) - k != len(g.edges) - g.n:
         return None
-    for subset in combinations(range(1, g.n + 1), base_graph.n):
-        inside = set(subset)
-        # counting induced edges and peeling, which depends only on the
-        # subset, are much cheaper than the copy and its isomorphism search
-        induced = [1 for u, v in g.edges if u in inside and v in inside]
-        if len(induced) != len(base_graph.edges):
-            continue
-        order, left = peel_leaves(g, subset)
-        if left != inside:
-            continue
-        try:
+    for first in range(1, g.n - k + 2):
+        near, frontier = {first}, {first}
+        for _ in range(k - 1):
+            frontier = {w for v in frontier for w in g.adjacency[v - 1] if w > first}
+            near |= frontier
+        for rest in combinations(sorted(near - {first}), k - 1):
+            subset = (first,) + rest
+            order, left = peel_leaves(g, subset)
+            if len(left) != k:
+                continue
             sub, _ = induced_subgraph(g, subset)
-        except GraphError:
-            continue
-        iso = corpus.find_isomorphism(base_graph, sub)
-        if iso is None:
-            continue
-        caps = {}
-        for bv, cap in zip(range(1, base_graph.n + 1), base_caps):
-            caps[subset[iso[bv] - 1]] = cap  # sub keeps subset's label order
-        for leaf, support in reversed(order):
-            caps[support] += 1
-            caps[leaf] = 1
-        vec = tuple(caps[v] for v in range(1, g.n + 1))
-        report = check_strong_exchange(engine.generators(vec))
-        if not report.ok:
-            return vec, report
+            iso = corpus.find_isomorphism(base_graph, sub)
+            if iso is None:
+                continue
+            caps = {}
+            for bv, cap in zip(range(1, k + 1), base_caps):
+                caps[subset[iso[bv] - 1]] = cap  # sub keeps subset's label order
+            for leaf, support in reversed(order):
+                caps[support] += 1
+                caps[leaf] = 1
+            vec = tuple(caps[v] for v in range(1, g.n + 1))
+            report = check_strong_exchange(engine.generators(vec))
+            if not report.ok:
+                return vec, report
     return None
 
 

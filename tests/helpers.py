@@ -15,6 +15,7 @@ from edgepow import (
     GraphError,
     PowerEngine,
     SymExchangeBinomial,
+    check_strong_exchange,
     fixtures,
     graph_from_edges,
     induced_subgraph,
@@ -29,7 +30,7 @@ from edgepow.exchange import (
     _swap,
     check_grid,
 )
-from edgepow.graph import MAX_SEARCH_VERTICES
+from edgepow.graph import MAX_SEARCH_VERTICES, peel_leaves
 from edgepow.powers import DEFAULT_NODE_BUDGET, MAX_CAP, as_caps, normalize_caps
 from edgepow.toric import (
     DEFAULT_FIBER_BUDGET,
@@ -689,3 +690,42 @@ def reference_unicyclic(n: int) -> tuple:
                 known.append(cand)
                 out.append(_from_networkx(cand))
     return tuple(out)
+
+
+# Reference fixture lift: every k-subset of the graph in lex order, each
+# filtered by its induced edge count, peeling and a guarded induced copy,
+# as the loop stood before the lift walked only connected candidates.
+
+def reference_lift_failing_caps(engine: PowerEngine, base_graph: Graph, base_caps):
+    """``classify.lift_failing_caps`` by the blind k-subset scan."""
+    g = engine.graph
+    if base_graph.n > g.n:
+        return None
+    for subset in combinations(range(1, g.n + 1), base_graph.n):
+        inside = set(subset)
+        # counting induced edges and peeling, which depends only on the
+        # subset, are much cheaper than the copy and its isomorphism search
+        induced = [1 for u, v in g.edges if u in inside and v in inside]
+        if len(induced) != len(base_graph.edges):
+            continue
+        order, left = peel_leaves(g, subset)
+        if left != inside:
+            continue
+        try:
+            sub, _ = induced_subgraph(g, subset)
+        except GraphError:
+            continue
+        iso = find_isomorphism(base_graph, sub)
+        if iso is None:
+            continue
+        caps = {}
+        for bv, cap in zip(range(1, base_graph.n + 1), base_caps):
+            caps[subset[iso[bv] - 1]] = cap  # sub keeps subset's label order
+        for leaf, support in reversed(order):
+            caps[support] += 1
+            caps[leaf] = 1
+        vec = tuple(caps[v] for v in range(1, g.n + 1))
+        report = check_strong_exchange(engine.generators(vec))
+        if not report.ok:
+            return vec, report
+    return None

@@ -26,7 +26,12 @@ from edgepow import corpus
 from edgepow.classify import _unicyclic_independence, lift_failing_caps
 from edgepow.fixtures import failing_instances
 from edgepow.powers import PowerEngine
-from helpers import independence_number, is_isomorphic, is_triangle_free
+from helpers import (
+    independence_number,
+    is_isomorphic,
+    is_triangle_free,
+    reference_lift_failing_caps,
+)
 
 
 # --- cycles and paths
@@ -342,6 +347,12 @@ def test_cross_validate_uses_fixture_lift_when_grid_silent():
     cv = cross_validate(template("c7pend"), 1)
     assert cv.consistent and cv.evidence == "fixture-lift"
     assert not cv.report.ok
+    # far beyond every fixture's size, as the walk over candidate subsets
+    # reaches it in well under a second
+    cv = cross_validate(path(26), 1)
+    assert cv.consistent and cv.evidence == "fixture-lift"
+    assert cv.caps == (1, 1, 2, 1, 1, 1, 3) + (2,) * 18 + (1,)
+    assert not cv.report.ok
 
 
 def test_cross_validate_budget_reaches_every_engine(monkeypatch):
@@ -368,14 +379,53 @@ def test_lift_failing_caps_direct():
     caps, report = got
     assert not report.ok
     assert caps[7] == 1  # fresh leaf always gets cap 1
+    # peeling keeps edges minus vertices: no cycle inside a tree, and no
+    # tree copy that a unicyclic graph peels down to
+    tree = PowerEngine(path(9))
+    assert lift_failing_caps(tree, base, (1, 2, 1, 1, 1, 1, 1)) is None
+    spider = template("spider113")
+    assert lift_failing_caps(PowerEngine(big), spider, (1,) * 6) is None
+
+
+def test_lift_failing_caps_matches_the_subset_scan():
+    # every fixture base against every tree on <= 9 and unicyclic graph on
+    # <= 8 vertices: the same first copy, caps and report as the blind scan
+    bases = failing_instances()
+    pairs = lifts = 0
+    for g in corpus.trees_up_to(9) + corpus.unicyclic_up_to(8):
+        engine = PowerEngine(g)
+        for base, caps in bases:
+            got = lift_failing_caps(engine, base, caps)
+            want = reference_lift_failing_caps(engine, base, caps)
+            pairs += 1
+            lifts += got is not None
+            if want is None:
+                assert got is None
+            else:
+                assert got[0] == want[0]
+                assert got[1].to_json() == want[1].to_json()
+    assert (pairs, lifts) == (6399, 280)
 
 
 @pytest.mark.parametrize(
-    "cap_max,lifts,digest", [(1, 69, "0685f9d2ac3b"), (2, 2, "db298372f385")]
+    "sizes,cap_max,lifts,digest",
+    [
+        pytest.param(
+            (range(2, 9), range(3, 9)), 1, 69, "0685f9d2ac3b", id="1-69-0685f9d2ac3b"
+        ),
+        pytest.param(
+            (range(2, 9), range(3, 9)), 2, 2, "db298372f385", id="2-2-db298372f385"
+        ),
+        pytest.param(
+            ((9, 10), (9,)), 1, 203, "b216961580ce", id="1-203-b216961580ce"
+        ),
+    ],
 )
-def test_cross_validate_output_is_pinned(cap_max, lifts, digest):
-    # every tree and unicyclic graph on <= 8 vertices
-    graphs = corpus.trees_up_to(8) + corpus.unicyclic_up_to(8)
+def test_cross_validate_output_is_pinned(sizes, cap_max, lifts, digest):
+    # every tree and every unicyclic graph on the given vertex counts
+    tree_sizes, unicyclic_sizes = sizes
+    graphs = [g for n in tree_sizes for g in corpus.all_trees(n)]
+    graphs += [g for n in unicyclic_sizes for g in corpus.all_unicyclic(n)]
     cvs = [cross_validate(g, cap_max) for g in graphs]
     assert sum(cv.evidence == "fixture-lift" for cv in cvs) == lifts
     rows = [[cv.to_json(), cv.report.to_json() if cv.report else None] for cv in cvs]
