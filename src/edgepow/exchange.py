@@ -17,8 +17,8 @@ A generator set passes the strong property exactly when it is a shifted
 bounded-degree slice: a common factor times all monomials of one degree
 under componentwise bounds.  ``detect_veronese`` constructs the only
 possible such decomposition (componentwise min as the factor, max - min as
-the bounds) and verifies it, so presence of the decomposition and the
-strong verdict can be cross-checked independently.
+the bounds) and verifies it by counting the slice, so presence of the
+decomposition and the strong verdict can be cross-checked independently.
 
 The module also hosts ``cap_grid``, the one walk over a graph's cap grid,
 shared by the counterexample search here and the fiber scan of ``toric``.
@@ -231,23 +231,43 @@ def _bounded_compositions(bounds, total):
     return out
 
 
+def _count_bounded_compositions(bounds, total):
+    """The number of tuples e with 0 <= e[i] <= bounds[i] and sum(e) = total:
+    a DP over prefix sums, O(len(bounds) * total)."""
+    ways = [1] + [0] * total
+    for b in bounds:
+        nxt, acc = [], 0
+        for s in range(total + 1):
+            acc += ways[s]
+            if s > b:
+                acc -= ways[s - b - 1]
+            nxt.append(acc)
+        ways = nxt
+    return ways[total]
+
+
 def detect_veronese(w) -> VeroneseDecomposition | None:
-    """The forced candidate decomposition, verified member-for-member.
+    """The forced candidate decomposition, verified by counting.
 
     If any decomposition of this shape exists, the one built from the
     componentwise minimum and (max - min) bounds also works, so checking
-    that single candidate decides existence.
+    that single candidate decides existence.  Members of one degree lie in
+    the candidate's slice, so they fill it exactly when there are as many
+    as the slice has points; mixed degrees never fill a one-degree slice.
     """
     mem = _member_set(w)
     members = list(mem)
+    if len({sum(m) for m in members}) != 1:
+        return None
     n = len(members[0])
     mins = tuple(min(m[i] for m in members) for i in range(n))
     maxs = tuple(max(m[i] for m in members) for i in range(n))
     deg = sum(members[0]) - sum(mins)
     support = tuple(i + 1 for i in range(n) if maxs[i] > mins[i])
     bounds = tuple(maxs[i - 1] - mins[i - 1] for i in support)
-    decomp = VeroneseDecomposition(mins, deg, support, bounds)
-    return decomp if decomp.expand() == mem else None
+    if _count_bounded_compositions(bounds, deg) != len(mem):
+        return None
+    return VeroneseDecomposition(mins, deg, support, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,26 @@ for.  Enumeration memoizes, per state and across cap vectors, the set of
 products of its best-size placements: the union, over each t with
 ``t + best(child) == best``, of the child's set times edge i to the t.
 Many multisets share a product when G has an even closed walk, so this
-visits each state once, not each multiset.  Products are ints packed 16
-bits per vertex (``MAX_CAP < 2**16``), unpacked only at the top.
+visits each state once, not each multiset.  A tight state, one with
+``2 * best == sum(res)``, has the single product ``res`` and expands no
+child:
+
+* every placement from ``(i, res)`` has a product p <= res componentwise,
+  since each multiplicity t is at most min(res[u], res[v]) and a zeroed
+  vertex has no later edge;
+* |p| = 2 * best = |res|, so p = res;
+* ``_best(i, res) == best`` says such a placement exists.
+
+At the root this is the perfect c-matching case, 2 * delta = |c|, where W is
+{c}.  Products are ints packed 16 bits per vertex, vertex 0 in the lowest
+digit (``MAX_CAP < 2**16``), unpacked only at the top.
 Decomposition reads the memo greedily: ``need`` edges under caps ``vec``
 have product exactly ``vec``, so at each edge the highest multiplicity
 that leaves ``need`` edges reachable is taken, and never undone.
 """
 from __future__ import annotations
 
-import sys
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,6 +168,7 @@ class PowerEngine:
         self.nodes = 0
         self._memo = {}
         self._tops_memo = {}
+        self._vec = struct.Struct(f"<{graph.n}H")
         self._pos = tuple((u - 1, v - 1) for u, v in graph.sorted_edges)
         last = {}
         for i, (u, v) in enumerate(self._pos):
@@ -220,6 +232,10 @@ class PowerEngine:
         if got is not None:
             return got
         self._charge()
+        if 2 * best == sum(res):  # tight: the only product is res itself
+            got = {int.from_bytes(self._vec.pack(*res), "little")}
+            self._tops_memo[i, res] = got
+            return got
         u, v = self._pos[i]
         unit = (1 << 16 * u) + (1 << 16 * v)
         top = min(res[u], res[v], best)
@@ -247,9 +263,9 @@ class PowerEngine:
                 f"node budget {self.node_budget} exhausted "
                 f"(enumeration, {len(self._tops_memo)} states so far)"
             ) from None
-        width = 2 * self.graph.n
-        members = (memoryview(p.to_bytes(width, sys.byteorder)).cast("H") for p in tops)
-        return GeneratorSet(self.graph, caps, depth, frozenset(map(tuple, members)))
+        vec = self._vec
+        members = frozenset(vec.unpack(p.to_bytes(vec.size, "little")) for p in tops)
+        return GeneratorSet(self.graph, caps, depth, members)
 
     def decompose(self, vec):
         """First edge multiset (canonical order, high multiplicities first)

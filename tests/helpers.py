@@ -15,6 +15,7 @@ from edgepow import (
     GraphError,
     PowerEngine,
     SymExchangeBinomial,
+    VeroneseDecomposition,
     check_strong_exchange,
     fixtures,
     graph_from_edges,
@@ -529,6 +530,22 @@ def reference_check_symmetric_exchange(w) -> ExchangeReport:
                         ExchangeWitness(u, v, xi + 1, None, None),
                     )
     return ExchangeReport(SYMMETRIC, True)
+
+
+def reference_detect_veronese(w) -> VeroneseDecomposition | None:
+    """``detect_veronese`` by expansion: the forced candidate decomposition
+    (componentwise min, max - min bounds), kept when its slice, listed
+    point by point, equals the member set."""
+    mem = _member_set(w)
+    members = list(mem)
+    n = len(members[0])
+    mins = tuple(min(m[i] for m in members) for i in range(n))
+    maxs = tuple(max(m[i] for m in members) for i in range(n))
+    deg = sum(members[0]) - sum(mins)
+    support = tuple(i + 1 for i in range(n) if maxs[i] > mins[i])
+    bounds = tuple(maxs[i - 1] - mins[i - 1] for i in support)
+    decomp = VeroneseDecomposition(mins, deg, support, bounds)
+    return decomp if decomp.expand() == mem else None
 
 
 def reference_check_strong_exchange(w) -> ExchangeReport:

@@ -25,7 +25,7 @@ from edgepow import (
     sym_exchange_binomials,
     template,
 )
-from edgepow import exchange, powers
+from edgepow import exchange, fixtures, powers
 from edgepow.corpus import trees_up_to, unicyclic_up_to
 from edgepow.exchange import cap_grid
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     reference_check_exchange,
     reference_check_strong_exchange,
     reference_check_symmetric_exchange,
+    reference_detect_veronese,
     reference_sym_exchange_binomials,
 )
 
@@ -204,6 +205,21 @@ def test_hhv_equivalence_sample():
         caps = random_caps(rng, g.n, cap_max=2)
         w = enumerate_generators(g, caps)
         assert (detect_veronese(w) is not None) == check_strong_exchange(w).ok
+
+
+def test_detect_veronese_count_matches_expansion():
+    # counting the candidate slice decides what listing it decides
+    rng = random.Random(53)
+    sets = [w for g in trees_up_to(7) + unicyclic_up_to(6) for _, w in cap_grid(g, 2)]
+    sets += [enumerate_generators(g, caps) for g, caps in fixtures.failing_instances()]
+    sets += [random_member_set(rng) for _ in range(400)]
+    # mixed degrees: the slice of (2, 0)'s degree has two points, so a bare
+    # count would accept this set
+    sets += [{(2, 0), (0, 1)}, {(1, 1, 0), (1, 0, 0), (0, 0, 1)}]
+    found = [detect_veronese(w) for w in sets]
+    assert found == [reference_detect_veronese(w) for w in sets]
+    assert found[-2:] == [None, None]
+    assert 0 < sum(d is None for d in found) < len(found)
 
 
 # --- counterexample search

@@ -22,6 +22,8 @@ from edgepow import (
     star,
     template,
 )
+from edgepow import exchange
+from edgepow.corpus import trees_up_to, unicyclic_up_to
 from edgepow.powers import MAX_CAP
 from helpers import (
     ORACLE_CAP_SUM,
@@ -334,10 +336,12 @@ def test_node_budget_enforced():
 
 
 def test_budget_message_names_enumeration_progress():
+    # (2,) * 9 would be tight at the root (2 * delta == sum of caps) and
+    # enumerate in one state, so one cap is lowered
     engine = PowerEngine(cycle(9), node_budget=60)
     with pytest.raises(BudgetError) as exc:
-        engine.generators((2,) * 9)
-    assert str(exc.value) == "node budget 60 exhausted (enumeration, 8 states so far)"
+        engine.generators((2,) * 8 + (1,))
+    assert str(exc.value) == "node budget 60 exhausted (enumeration, 19 states so far)"
     assert engine.nodes == 61
     engine = PowerEngine(from_spec("multipartite:3,3,3"), node_budget=2000)
     with pytest.raises(BudgetError) as exc:
@@ -357,14 +361,16 @@ def test_budget_message_names_enumeration_progress():
 @pytest.mark.parametrize(
     "spec, caps, nodes, memo",
     [
-        ("cycle:9", (2,) * 9, 74, 65),
+        ("cycle:9", (2,) * 9, 29, 28),
         ("template:c3pathpend", (1, 1, 1, 2, 1, 1, 1), 31, 19),
-        ("multipartite:3,3,3", (3, 1, 3, 2, 2, 3, 3, 3, 3), 19004, 13371),
+        ("multipartite:3,3,3", (3, 1, 3, 2, 2, 3, 3, 3, 3), 15913, 11625),
+        ("multipartite:3,3,3", (2, 2, 2, 1, 1, 1, 1, 1, 1), 20, 19),
     ],
 )
 def test_generators_node_and_memo_counts(spec, caps, nodes, memo):
     # Enumeration visits and memoizes exactly these states; a change in
-    # either count means the search itself changed.
+    # either count means the search itself changed.  The cycle:9 row and the
+    # last row are tight at the root: enumeration is one state.
     engine = PowerEngine(from_spec(spec))
     engine.generators(caps)
     assert (engine.nodes, len(engine._memo)) == (nodes, memo)
@@ -386,3 +392,33 @@ def test_engine_memo_shared_across_caps():
 def test_format_monomial():
     assert format_monomial((1, 0, 2)) == "x1*x3^2"
     assert format_monomial((0, 0)) == "1"
+
+
+def test_shared_engine_matches_multiset_walk_over_cap_grids(monkeypatch):
+    # cap_grid walks one engine over a graph's whole grid, so tight states
+    # (2 * best == sum(res), whose only product is res itself) memoized under
+    # one cap vector are reused under later ones.  The multiset walk costs
+    # up to 0.24 s a cell on the dense grids, so there it checks every 8th.
+    engines = []
+
+    class Recorded(PowerEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(exchange, "PowerEngine", Recorded)
+    graphs = [(from_spec(s), 2, 8) for s in ("multipartite:2,2,2,2", "multipartite:3,3,3")]
+    graphs += [(g, 3, 1) for g in trees_up_to(7) + unicyclic_up_to(6)]
+    cells = 0
+    for g, cap_max, stride in graphs:
+        for k, (caps, w) in enumerate(exchange.cap_grid(g, cap_max)):
+            if k % stride == 0:
+                ref = reference_generators(g, caps)
+                assert (w.delta, w.members) == (ref.delta, ref.members), (g.edges, caps)
+                cells += 1
+    tight = sum(
+        len(got) == 1 and e._vec.unpack(next(iter(got)).to_bytes(e._vec.size, "little")) == res
+        for e in engines
+        for (_, res), got in e._tops_memo.items()
+    )
+    assert (len(engines), cells, tight) == (len(graphs), 14050, 5454)
