@@ -15,6 +15,10 @@ tags:
   unicyclic(iii)(1|2|3): cycle length 4 templates;
   unicyclic(iv)(1|2|3): cycle length 3 templates; (none) otherwise.
 
+The structure behind these rules is one ``structure_probe``, so one leaf
+peel: it tells trees and unicyclic graphs apart and gives the cycle, and
+the legs the templates read are a fold over its peel order.
+
 ``cross_validate`` confronts a verdict with bounded evidence: a clean cap
 grid for positive verdicts; for negative verdicts a grid counterexample or
 a failing cap vector lifted from a registered fixture instance through
@@ -26,6 +30,7 @@ subsets near their least vertex, as connected ones are, peeling each first.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -112,26 +117,22 @@ def classify_tree(g: Graph) -> ClassificationVerdict:
     return ClassificationVerdict(False, "tree(none)", {})
 
 
-def _leg_profile(g: Graph, root: int, cycle_set):
-    """Lengths of the hanging paths at a cycle vertex.
-
-    Returns a sorted tuple of leg lengths when every branch hanging off the
-    root is a bare path, or None when some branch forks below the root.
+def _leg_profiles(probe) -> list:
+    """Leg lengths at each cycle vertex, in cycle order: a sorted tuple when
+    every branch hanging off the vertex is a bare path, else None.  One fold
+    over the peel order (children first): a branch is a bare path when each
+    of its vertices has at most one child.
     """
-    legs = []
-    for child in sorted(g.neighbors(root) - cycle_set):
-        length = 0
-        prev, cur = root, child
-        while True:
-            length += 1
-            nxt = [w for w in g.neighbors(cur) if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
-        legs.append(length)
-    return tuple(sorted(legs))
+    legs = defaultdict(list)  # vertex -> lengths of its bare branches, None on a fork
+    for leaf, support in probe.order:
+        below = legs[leaf]
+        if legs[support] is None:
+            continue
+        if below is None or len(below) > 1:
+            legs[support] = None
+        else:
+            legs[support].append(1 + sum(below))
+    return [None if legs[v] is None else tuple(sorted(legs[v])) for v in probe.cycle]
 
 
 def _unicyclic_independence(g: Graph, a: int) -> int:
@@ -177,8 +178,7 @@ def classify_unicyclic(g: Graph) -> ClassificationVerdict:
             "unicyclic(ii)",
             {"cycle_length": ell, "independence_number": alpha},
         )
-    cycle_set = frozenset(cyc)
-    profiles = [_leg_profile(g, v, cycle_set) for v in cyc]
+    profiles = _leg_profiles(probe)
     if ell == 4:
         if any(p is None for p in profiles):
             return ClassificationVerdict(False, "unicyclic(iii)(none)", {})
@@ -261,9 +261,22 @@ def classify_complete_multipartite_minus_matching(g: Graph):
     Each vertex's part is then its closed complement-neighborhood minus at
     most one matched partner; a backtracking assignment over that choice
     decides recognizability.  Returns a positive verdict with the parts and
-    matching, or None.
+    matching, or None.  Each complement entry and each backtracking step
+    costs one step of ``CMM_STEP_LIMIT``; the entries are charged before
+    the complement is built.
     """
     n = g.n
+    steps = 0
+
+    def charge(cost):
+        nonlocal steps
+        steps += cost
+        if steps > CMM_STEP_LIMIT:
+            raise BudgetError(
+                f"complete-multipartite recognition exceeded {CMM_STEP_LIMIT} steps"
+            )
+
+    charge(n * (n - 1) - 2 * len(g.edges))
     comp = [
         frozenset(
             w for w in range(1, n + 1) if w != v and not g.has_edge(v, w)
@@ -272,15 +285,9 @@ def classify_complete_multipartite_minus_matching(g: Graph):
     ]
     part_of = {}
     parts = []
-    steps = 0
 
     def bt():
-        nonlocal steps
-        steps += 1
-        if steps > CMM_STEP_LIMIT:
-            raise BudgetError(
-                f"complete-multipartite recognition exceeded {CMM_STEP_LIMIT} steps"
-            )
+        charge(1)
         rest = [v for v in range(1, n + 1) if v not in part_of]
         if not rest:
             return True

@@ -8,14 +8,15 @@ Richmond, Odlyzko and McKay (*Constant time generation of free trees*,
 and labels (layout position ``i`` is vertex ``i + 1``).  Unicyclic graphs
 add one edge to each tree and keep the first graph of each canonical key:
 the Aho–Hopcroft–Ullman codes of the trees hung on the cycle, read around
-it, least over rotations and reflections.
+it, least over rotations and reflections.  One ``structure_probe`` per
+candidate gives both the cycle and the trees, through its peel order.
 
 networkx is needed only by ``find_isomorphism`` / ``to_networkx`` (fixture
 lifting) and is imported there.
 """
 from __future__ import annotations
 
-from .graph import Graph, _unique_cycle, peel_leaves
+from .graph import Graph, structure_probe
 
 # connected unicyclic graphs on n vertices, up to isomorphism (OEIS A001429)
 UNICYCLIC_COUNTS = {
@@ -94,10 +95,11 @@ def all_trees(n: int) -> tuple:
 
 def _unicyclic_key(g: Graph) -> tuple:
     """Canonical form of a unicyclic graph, equal exactly on isomorphic graphs."""
+    probe = structure_probe(g)
     below = {v: [] for v in range(1, g.n + 1)}
-    for leaf, support in peel_leaves(g)[0]:  # children before parents
+    for leaf, support in probe.order:  # children before parents
         below[support].append("(" + "".join(sorted(below[leaf])) + ")")
-    ring = ["(" + "".join(sorted(below[v])) + ")" for v in _unique_cycle(g)]
+    ring = ["(" + "".join(sorted(below[v])) + ")" for v in probe.cycle]
     k = len(ring)
     return min(
         tuple(seq[i:] + seq[:i]) for seq in (ring, ring[::-1]) for i in range(k)

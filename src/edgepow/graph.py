@@ -5,15 +5,17 @@ edges ``(u, v)`` with ``1 <= u < v <= n``.  Loops, parallel edges and
 isolated vertices are rejected.  The module provides the standard families
 used by the rest of the package (cycles, paths, stars, whiskered stars,
 complete multipartite graphs minus a matching, a table of named small
-graphs), structural probes (connectivity, tree/unicyclic detection with the
-unique cycle), and induced subgraphs with explicit renumbering maps.
+graphs), a structure probe (tree/unicyclic detection with the unique
+cycle), and induced subgraphs with explicit renumbering maps.
 
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
-recursion): a unicyclic graph peels down to its unique cycle, and fixture
-lifting re-attaches leaves in its order.  Family constructors (so inline
-specs) and graph files refuse more than ``MAX_FAMILY_SIZE`` vertices or
-edges before building anything; a graph file larger than
-``MAX_GRAPH_FILE_BYTES`` is refused before it is read.
+recursion), and ``structure_probe`` is one call of it: a tree peels down to
+one vertex, a unicyclic graph to its unique cycle, and the peel order gives
+the trees hanging off that cycle.  Fixture lifting re-attaches leaves in
+its order.  Family constructors (so inline specs) and graph files refuse
+more than ``MAX_FAMILY_SIZE`` vertices or edges before building anything;
+a graph file larger than ``MAX_GRAPH_FILE_BYTES`` is refused before it is
+read.
 """
 from __future__ import annotations
 
@@ -328,33 +330,11 @@ def from_spec(spec: str) -> Graph:
 
 @dataclass(frozen=True)
 class StructureReport:
-    connected: bool
     is_tree: bool
     is_unicyclic: bool
     cycle: tuple | None
     cycle_length: int
-    leaves: tuple
-    degrees: tuple
-    components: tuple
-
-
-def _components(g: Graph):
-    seen = set()
-    comps = []
-    for start in range(1, g.n + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in g.adjacency[u - 1]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    order: tuple
 
 
 def peel_leaves(g: Graph, keep=()) -> tuple:
@@ -385,36 +365,39 @@ def peel_leaves(g: Graph, keep=()) -> tuple:
     return order, present
 
 
-def _unique_cycle(g: Graph):
-    """The unique cycle from its least vertex towards the smaller neighbour."""
-    _, core = peel_leaves(g)
+def _unique_cycle(g: Graph, core):
+    """The peel core as one cycle from its least vertex towards the smaller
+    neighbour, or None.  A walk meeting only core degree 2 first comes back
+    at its start, so the core is one cycle when that return covers it.
+    """
     start = min(core)
-    cyc = [start]
-    prev, cur = start, min(g.adjacency[start - 1] & core)
-    while cur != start:
+    cyc = []
+    prev, cur = None, start
+    while True:
+        ahead = g.adjacency[cur - 1] & core
+        if len(ahead) != 2:
+            return None
         cyc.append(cur)
-        prev, cur = cur, next(w for w in g.adjacency[cur - 1] & core if w != prev)
-    return tuple(cyc)
+        prev, cur = cur, min(ahead) if prev is None else min(ahead - {prev})
+        if cur == start:
+            return tuple(cyc) if len(cyc) == len(core) else None
 
 
 def structure_probe(g: Graph) -> StructureReport:
-    """Connectivity, tree/unicyclic detection, unique cycle, leaves, degrees."""
-    comps = _components(g)
-    connected = len(comps) == 1
+    """Tree/unicyclic detection, the unique cycle and the peel ``order``
+    (children before parents), from one leaf peel.  Every peeled vertex
+    hangs through its supports on a vertex left over, so g is a tree when
+    one vertex is left and unicyclic when what is left is one cycle.
+    """
+    order, core = peel_leaves(g)
     m = len(g.edges)
-    is_tree = connected and m == g.n - 1
-    is_unicyclic = connected and m == g.n
-    cyc = _unique_cycle(g) if is_unicyclic else None
-    leaves = tuple(v for v in range(1, g.n + 1) if g.degrees[v - 1] == 1)
+    cyc = _unique_cycle(g, core) if m == g.n else None
     return StructureReport(
-        connected=connected,
-        is_tree=is_tree,
-        is_unicyclic=is_unicyclic,
+        is_tree=m == g.n - 1 and len(core) == 1,
+        is_unicyclic=cyc is not None,
         cycle=cyc,
         cycle_length=len(cyc) if cyc else 0,
-        leaves=leaves,
-        degrees=g.degrees,
-        components=comps,
+        order=tuple(order),
     )
 
 

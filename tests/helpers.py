@@ -665,6 +665,111 @@ def reference_peel_order(g: Graph, keep):
     return order
 
 
+# Reference structure probe and leg profiles: the component search plus the
+# cycle walk over a second peel, and the per-branch leg walker, as they stood
+# before both read one `graph.peel_leaves` pass.
+
+@dataclass(frozen=True)
+class ReferenceStructureReport:
+    connected: bool
+    is_tree: bool
+    is_unicyclic: bool
+    cycle: tuple | None
+    cycle_length: int
+    leaves: tuple
+    degrees: tuple
+    components: tuple
+
+
+def reference_components(g: Graph):
+    seen = set()
+    comps = []
+    for start in range(1, g.n + 1):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in g.adjacency[u - 1]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_peel_cycle(g: Graph):
+    """The unique cycle from its least vertex towards the smaller neighbour."""
+    _, core = peel_leaves(g)
+    start = min(core)
+    cyc = [start]
+    prev, cur = start, min(g.adjacency[start - 1] & core)
+    while cur != start:
+        cyc.append(cur)
+        prev, cur = cur, next(w for w in g.adjacency[cur - 1] & core if w != prev)
+    return tuple(cyc)
+
+
+def reference_structure_probe(g: Graph) -> ReferenceStructureReport:
+    """Connectivity, tree/unicyclic detection, unique cycle, leaves, degrees."""
+    comps = reference_components(g)
+    connected = len(comps) == 1
+    m = len(g.edges)
+    is_tree = connected and m == g.n - 1
+    is_unicyclic = connected and m == g.n
+    cyc = reference_peel_cycle(g) if is_unicyclic else None
+    leaves = tuple(v for v in range(1, g.n + 1) if g.degrees[v - 1] == 1)
+    return ReferenceStructureReport(
+        connected=connected,
+        is_tree=is_tree,
+        is_unicyclic=is_unicyclic,
+        cycle=cyc,
+        cycle_length=len(cyc) if cyc else 0,
+        leaves=leaves,
+        degrees=g.degrees,
+        components=comps,
+    )
+
+
+def reference_leg_profile(g: Graph, root: int, cycle_set):
+    """Lengths of the hanging paths at a cycle vertex.
+
+    Returns a sorted tuple of leg lengths when every branch hanging off the
+    root is a bare path, or None when some branch forks below the root.
+    """
+    legs = []
+    for child in sorted(g.neighbors(root) - cycle_set):
+        length = 0
+        prev, cur = root, child
+        while True:
+            length += 1
+            nxt = [w for w in g.neighbors(cur) if w != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                return None
+            prev, cur = cur, nxt[0]
+        legs.append(length)
+    return tuple(sorted(legs))
+
+
+def shuffled(rng, g: Graph) -> Graph:
+    """g under a random relabelling."""
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.sorted_edges])
+
+
+def random_disconnected_graph(rng, n_max=9, extra_max=3) -> Graph:
+    """Two random connected graphs side by side, randomly relabelled."""
+    a = random_connected_graph(rng, n_max=n_max, extra_max=rng.randint(0, extra_max))
+    b = random_connected_graph(rng, n_max=n_max, extra_max=rng.randint(0, extra_max))
+    edges = sorted(a.edges) + [(u + a.n, v + a.n) for u, v in sorted(b.edges)]
+    return shuffled(rng, graph_from_edges(a.n + b.n, edges))
+
+
 # Reference corpus: networkx's tree generator and the degree-profile bucket
 # plus `nx.is_isomorphic` deduplication that `corpus.all_unicyclic` replaced.
 

@@ -23,14 +23,17 @@ from edgepow import (
     template,
 )
 from edgepow import corpus
-from edgepow.classify import _unicyclic_independence, lift_failing_caps
+from edgepow.classify import _leg_profiles, _unicyclic_independence, lift_failing_caps
 from edgepow.fixtures import failing_instances
 from edgepow.powers import PowerEngine
 from helpers import (
     independence_number,
     is_isomorphic,
     is_triangle_free,
+    random_connected_graph,
+    reference_leg_profile,
     reference_lift_failing_caps,
+    shuffled,
 )
 
 
@@ -134,6 +137,25 @@ def test_unicyclic_independence_matches_reference():
             want = independence_number(h)
             for a in structure_probe(h).cycle:
                 assert _unicyclic_independence(h, a) == want
+
+
+def test_leg_profiles_match_reference_walker():
+    rng = random.Random(29)
+    graphs = list(corpus.unicyclic_up_to(9))
+    graphs += [shuffled(rng, g) for g in graphs]
+    target = len(graphs) + 1500
+    while len(graphs) < target:
+        g = random_connected_graph(rng, n_min=3, n_max=12, extra_max=1)
+        if len(g.edges) == g.n:
+            graphs.append(shuffled(rng, g))
+    forks = 0
+    for g in graphs:
+        probe = structure_probe(g)
+        cycle_set = frozenset(probe.cycle)
+        want = [reference_leg_profile(g, v, cycle_set) for v in probe.cycle]
+        assert _leg_profiles(probe) == want, g
+        forks += None in want
+    assert forks >= 500
 
 
 def test_unicyclic_alpha_clause_beyond_search_limit():
@@ -330,6 +352,21 @@ def test_cmm_step_limit_raises_budget_error(monkeypatch):
         BudgetError, match=r"^complete-multipartite recognition exceeded 2 steps$"
     ):
         classify_complete_multipartite_minus_matching(g)
+
+
+def test_cmm_charges_the_complement_before_building_it():
+    from edgepow import BudgetError
+
+    # a cycle plus one chord on 2,000 vertices: about 4 million complement
+    # entries, refused before any is built
+    n = 2000
+    g = graph_from_edges(n, [(i, i + 1) for i in range(1, n)] + [(1, n), (1, n // 2)])
+    start = time.perf_counter()
+    with pytest.raises(
+        BudgetError, match=r"^complete-multipartite recognition exceeded 1000000 steps$"
+    ):
+        classify_graph(g)
+    assert time.perf_counter() - start < 0.1
 
 
 # --- cross validation

@@ -27,8 +27,11 @@ from helpers import (
     independence_number,
     is_triangle_free,
     random_connected_graph,
+    random_disconnected_graph,
     reference_peel_order,
+    reference_structure_probe,
     reference_unique_cycle,
+    shuffled,
 )
 
 
@@ -140,14 +143,53 @@ def test_structure_probe_unicyclic():
     probe = structure_probe(g)
     assert probe.is_unicyclic and probe.cycle_length == 7
     assert probe.cycle == (1, 2, 3, 4, 5, 6, 7)
-    assert probe.leaves == (8,)
+    assert probe.order == ((8, 1),)
 
 
 def test_structure_probe_disconnected():
     g = graph_from_edges(4, [(1, 2), (3, 4)])
     probe = structure_probe(g)
-    assert not probe.connected and not probe.is_tree
-    assert probe.components == ((1, 2), (3, 4))
+    assert not probe.is_tree and not probe.is_unicyclic
+    assert probe.cycle is None and probe.cycle_length == 0
+
+
+def _assert_probe_matches_reference(g):
+    probe = structure_probe(g)
+    want = reference_structure_probe(g)
+    got = (probe.is_tree, probe.is_unicyclic, probe.cycle, probe.cycle_length)
+    assert got == (want.is_tree, want.is_unicyclic, want.cycle, want.cycle_length), g
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (5, [(1, 2), (2, 3), (1, 3), (4, 5)]),  # triangle plus an edge: m = n - 1
+        (6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]),  # two triangles: m = n
+        # a path on 3 vertices plus K4 minus an edge (bicyclic): m = n
+        (7, [(1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (5, 6), (6, 7)]),
+    ],
+)
+def test_structure_probe_disconnected_shapes_are_neither(n, edges):
+    g = graph_from_edges(n, edges)
+    assert len(g.edges) - n in (-1, 0)
+    probe = structure_probe(g)
+    assert not probe.is_tree and not probe.is_unicyclic and probe.cycle is None
+    _assert_probe_matches_reference(g)
+
+
+def test_structure_probe_matches_reference():
+    rng = random.Random(17)
+    for g in corpus.trees_up_to(10) + corpus.unicyclic_up_to(9):
+        _assert_probe_matches_reference(g)
+        _assert_probe_matches_reference(shuffled(rng, g))
+    near = 0  # disconnected graphs whose edge count a tree or unicyclic graph has
+    for _ in range(3000):
+        g = random_connected_graph(rng, n_min=2, n_max=10, extra_max=rng.randint(0, 3))
+        _assert_probe_matches_reference(shuffled(rng, g))
+        h = random_disconnected_graph(rng)
+        _assert_probe_matches_reference(h)
+        near += len(h.edges) - h.n in (-1, 0)
+    assert near >= 1000
 
 
 def test_unique_cycle_matches_reference_dfs():
@@ -246,7 +288,7 @@ def test_delete_leaf_from_tree_keeps_tree():
     rng = random.Random(3)
     for _ in range(20):
         g = random_connected_graph(rng, n_min=3, extra_max=0)
-        leaf = structure_probe(g).leaves[0]
+        leaf = g.degrees.index(1) + 1
         h, _ = delete_vertex(g, leaf)
         assert structure_probe(h).is_tree
 
