@@ -101,7 +101,10 @@ def _star_whisker_center(g: Graph):
 
 
 def classify_tree(g: Graph) -> ClassificationVerdict:
-    probe = structure_probe(g)
+    return _tree_verdict(g, structure_probe(g))
+
+
+def _tree_verdict(g: Graph, probe) -> ClassificationVerdict:
     if not probe.is_tree:
         raise ValueError("classify_tree requires a tree")
     if g.n == 6 and _is_path_graph(g):
@@ -164,7 +167,10 @@ def _unicyclic_independence(g: Graph, a: int) -> int:
 
 
 def classify_unicyclic(g: Graph) -> ClassificationVerdict:
-    probe = structure_probe(g)
+    return _unicyclic_verdict(g, structure_probe(g))
+
+
+def _unicyclic_verdict(g: Graph, probe) -> ClassificationVerdict:
     if not probe.is_unicyclic:
         raise ValueError("classify_unicyclic requires a unicyclic graph")
     cyc = probe.cycle
@@ -238,9 +244,9 @@ def classify_graph(g: Graph) -> ClassificationVerdict:
     if probe.is_tree and _is_path_graph(g):
         return classify_path(g.n)
     if probe.is_tree:
-        return classify_tree(g)
+        return _tree_verdict(g, probe)
     if probe.is_unicyclic:
-        return classify_unicyclic(g)
+        return _unicyclic_verdict(g, probe)
     cmm = classify_complete_multipartite_minus_matching(g)
     if cmm is not None:
         return cmm
@@ -419,9 +425,9 @@ def cross_validate(
     """
     probe = structure_probe(g)
     if probe.is_tree:
-        verdict = classify_tree(g)
+        verdict = _tree_verdict(g, probe)
     elif probe.is_unicyclic:
-        verdict = classify_unicyclic(g)
+        verdict = _unicyclic_verdict(g, probe)
     else:
         raise ValueError("cross_validate handles trees and unicyclic graphs")
     found = search_sep_counterexample(g, cap_max, node_budget=node_budget)

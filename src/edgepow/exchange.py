@@ -17,8 +17,12 @@ A generator set passes the strong property exactly when it is a shifted
 bounded-degree slice: a common factor times all monomials of one degree
 under componentwise bounds.  ``detect_veronese`` constructs the only
 possible such decomposition (componentwise min as the factor, max - min as
-the bounds) and verifies it by counting the slice, so presence of the
-decomposition and the strong verdict can be cross-checked independently.
+the bounds) and verifies it by counting the slice.  A set of over 3
+members that fills it passes the strong check at once (on fewer the loop
+costs less), with no theorem needed: for u, v in the slice {min <= u <=
+max, |u| = d}, u[xi] - 1 >= v[xi] >= min[xi] and u[rho] + 1 <= v[rho] <=
+max[rho], so the swap stays in the slice.  Every other set runs the
+ordered swap loop, which decides every failing verdict and witness.
 
 The module also hosts ``cap_grid``, the one walk over a graph's cap grid,
 shared by the counterexample search here and the fiber scan of ``toric``.
@@ -64,7 +68,7 @@ def _member_set(w):
         mem = frozenset(tuple(v) for v in w)
     if not mem:
         raise ValueError("generator set is empty")
-    if len({len(v) for v in mem}) != 1:
+    if len(set(map(len, mem))) != 1:
         raise ValueError("generators have mixed lengths")
     return mem
 
@@ -159,8 +163,10 @@ def check_symmetric_exchange(w) -> ExchangeReport:
 
 
 def check_strong_exchange(w) -> ExchangeReport:
-    """Every admissible single swap must stay in the set."""
+    """Every admissible single swap must stay in the set (module docstring)."""
     mem = _member_set(w)
+    if len(mem) > 3 and detect_veronese(w) is not None:
+        return ExchangeReport(STRONG, True)
     for u, v, ups, downs in _moves(permutations(sorted(mem), 2)):
         for xi in ups:
             for rho in downs:
@@ -207,28 +213,15 @@ class VeroneseDecomposition:
 
 def _bounded_compositions(bounds, total):
     """All tuples e with 0 <= e[i] <= bounds[i] and sum(e) = total."""
-    k = len(bounds)
-    out = []
-    cur = [0] * k
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-
-    def go(i, left):
-        if i == k:
-            if left == 0:
-                out.append(tuple(cur))
-            return
-        if left > suffix[i]:
-            return
-        lo = max(0, left - suffix[i + 1])
-        for val in range(min(bounds[i], left), lo - 1, -1):
-            cur[i] = val
-            go(i + 1, left - val)
-        cur[i] = 0
-
-    go(0, total)
-    return out
+    if not bounds:
+        return [()] if total == 0 else []
+    rest = bounds[1:]
+    low = max(0, total - sum(rest))
+    return [
+        (val,) + e
+        for val in range(min(bounds[0], total), low - 1, -1)
+        for e in _bounded_compositions(rest, total - val)
+    ]
 
 
 def _count_bounded_compositions(bounds, total):
@@ -254,18 +247,21 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
     that single candidate decides existence.  Members of one degree lie in
     the candidate's slice, so they fill it exactly when there are as many
     as the slice has points; mixed degrees never fill a one-degree slice.
+    Nor does a set with a bound b >= |W|, as a filled slice takes all
+    b + 1 values in that coordinate; so the count is O(k**2 * |W|).
     """
     mem = _member_set(w)
-    members = list(mem)
-    if len({sum(m) for m in members}) != 1:
+    degrees = set(map(sum, mem))
+    if len(degrees) != 1:
         return None
-    n = len(members[0])
-    mins = tuple(min(m[i] for m in members) for i in range(n))
-    maxs = tuple(max(m[i] for m in members) for i in range(n))
-    deg = sum(members[0]) - sum(mins)
-    support = tuple(i + 1 for i in range(n) if maxs[i] > mins[i])
+    cols = tuple(zip(*mem))
+    mins = tuple(map(min, cols))
+    maxs = tuple(map(max, cols))
+    support = tuple(i + 1 for i, (lo, hi) in enumerate(zip(mins, maxs)) if hi > lo)
     bounds = tuple(maxs[i - 1] - mins[i - 1] for i in support)
-    if _count_bounded_compositions(bounds, deg) != len(mem):
+    deg = degrees.pop() - sum(mins)
+    size = len(mem)
+    if max(bounds, default=0) >= size or _count_bounded_compositions(bounds, deg) != size:
         return None
     return VeroneseDecomposition(mins, deg, support, bounds)
 

@@ -18,15 +18,19 @@ fast at this scale:
 * the bound ``best <= sum(residual) // 2``, which both prunes and lets the
   multiplicity loop stop early once attained.
 
-All three searches step through the same states: ``_child`` takes edge i
-t times and zeroes the caps of the vertices that edge i is the last one
-for.  Enumeration memoizes, per state and across cap vectors, the set of
+All three searches step through the same states.  A residual is one int
+with a 32-bit digit per vertex, vertex 0 in the lowest, as is a product.
+``_child`` takes edge i t times, ``(res - t * unit) & keep``: t is at most
+min(res[u], res[v]), so nothing borrows, and ``keep`` zeroes the vertices
+that edge i is the last one for.  As ``2**32`` is 1 modulo ``2**32 - 1``,
+``res % (2**32 - 1)`` is the digit sum, at most 32 * MAX_CAP = 2**20.
+Enumeration memoizes, per state and across cap vectors, the set of
 products of its best-size placements: the union, over each t with
 ``t + best(child) == best``, of the child's set times edge i to the t.
 Many multisets share a product when G has an even closed walk, so this
 visits each state once, not each multiset.  A tight state, one with
-``2 * best == sum(res)``, has the single product ``res`` and expands no
-child:
+``2 * best == sum(res)``, has the single product ``res``, packed as it
+is, and expands no child:
 
 * every placement from ``(i, res)`` has a product p <= res componentwise,
   since each multiplicity t is at most min(res[u], res[v]) and a zeroed
@@ -35,8 +39,7 @@ child:
 * ``_best(i, res) == best`` says such a placement exists.
 
 At the root this is the perfect c-matching case, 2 * delta = |c|, where W is
-{c}.  Products are ints packed 16 bits per vertex, vertex 0 in the lowest
-digit (``MAX_CAP < 2**16``), unpacked only at the top.
+{c}.  Products are unpacked only at the top.
 Decomposition reads the memo greedily: ``need`` edges under caps ``vec``
 have product exactly ``vec``, so at each edge the highest multiplicity
 that leaves ``need`` edges reachable is taken, and never undone.
@@ -51,6 +54,8 @@ from .graph import MAX_SEARCH_VERTICES, Graph
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 MAX_CAP = 1 << 15
+_BITS = 32  # bits per vertex digit of a packed residual or product
+_ONES = (1 << _BITS) - 1
 
 
 class BudgetError(RuntimeError):
@@ -168,16 +173,14 @@ class PowerEngine:
         self.nodes = 0
         self._memo = {}
         self._tops_memo = {}
-        self._vec = struct.Struct(f"<{graph.n}H")
-        self._pos = tuple((u - 1, v - 1) for u, v in graph.sorted_edges)
-        last = {}
-        for i, (u, v) in enumerate(self._pos):
-            last[u] = i
-            last[v] = i
-        dying = [[] for _ in self._pos]
-        for p, i in last.items():
-            dying[i].append(p)
-        self._dying = tuple(tuple(sorted(d)) for d in dying)
+        self._vec = struct.Struct(f"<{graph.n}I")
+        self._shift = tuple((_BITS * (u - 1), _BITS * (v - 1)) for u, v in graph.sorted_edges)
+        self._unit = tuple((1 << su) + (1 << sv) for su, sv in self._shift)
+        last = {s: i for i, pair in enumerate(self._shift) for s in pair}
+        keep = [(1 << _BITS * graph.n) - 1] * len(self._shift)
+        for s, i in last.items():
+            keep[i] -= _ONES << s
+        self._keep = tuple(keep)
 
     def _charge(self):
         """Count one search node."""
@@ -185,16 +188,13 @@ class PowerEngine:
         if self.nodes > self.node_budget:
             raise BudgetError(f"node budget {self.node_budget} exhausted")
 
+    def _pack(self, vec) -> int:
+        return int.from_bytes(self._vec.pack(*vec), "little")
+
     def _child(self, i, res, t):
         """The state after taking edge i t times: caps of vertices with no
         edge after i are zeroed, since nothing can consume them any more."""
-        u, v = self._pos[i]
-        nxt = list(res)
-        nxt[u] -= t
-        nxt[v] -= t
-        for p in self._dying[i]:
-            nxt[p] = 0
-        return tuple(nxt)
+        return (res - t * self._unit[i]) & self._keep[i]
 
     def _best(self, i, res):
         """Max edges placeable from edge index i under (dead-masked) residual caps."""
@@ -203,16 +203,13 @@ class PowerEngine:
         if val is not None:
             return val
         self._charge()
-        if i == len(self._pos):
+        ub = res % _ONES // 2
+        if ub == 0 or i == len(self._shift):
             self._memo[key] = 0
             return 0
-        ub = sum(res) // 2
-        if ub == 0:
-            self._memo[key] = 0
-            return 0
-        u, v = self._pos[i]
+        su, sv = self._shift[i]
         best = 0
-        for t in range(min(res[u], res[v]), -1, -1):
+        for t in range(min(res >> su & _ONES, res >> sv & _ONES), -1, -1):
             got = t + self._best(i + 1, self._child(i, res, t))
             if got > best:
                 best = got
@@ -223,7 +220,7 @@ class PowerEngine:
 
     def delta(self, caps) -> int:
         caps = as_caps(self.graph, caps)
-        return self._best(0, caps)
+        return self._best(0, self._pack(caps))
 
     def _tops(self, i, res, best):
         """Packed products of the ``best``-edge placements from state
@@ -232,15 +229,14 @@ class PowerEngine:
         if got is not None:
             return got
         self._charge()
-        if 2 * best == sum(res):  # tight: the only product is res itself
-            got = {int.from_bytes(self._vec.pack(*res), "little")}
-            self._tops_memo[i, res] = got
+        if 2 * best == res % _ONES:  # tight: the only product is res itself
+            self._tops_memo[i, res] = got = {res}
             return got
-        u, v = self._pos[i]
-        unit = (1 << 16 * u) + (1 << 16 * v)
-        top = min(res[u], res[v], best)
+        su, sv = self._shift[i]
+        unit = self._unit[i]
+        top = min(res >> su & _ONES, res >> sv & _ONES, best)
         got = {best * unit} if top == best else None
-        if i + 1 < len(self._pos):
+        if i + 1 < len(self._shift):
             for t in range(min(top, best - 1), -1, -1):
                 child = self._child(i, res, t)
                 if t + self._best(i + 1, child) == best:
@@ -255,9 +251,10 @@ class PowerEngine:
         """Every product of ``delta`` edges under the caps: the product sets
         of ``_best``'s own states, memoized across cap vectors like ``_best``."""
         caps = as_caps(self.graph, caps)
-        depth = self._best(0, caps)
+        root = self._pack(caps)
+        depth = self._best(0, root)
         try:
-            tops = self._tops(0, caps, depth)
+            tops = self._tops(0, root, depth)
         except BudgetError:
             raise BudgetError(
                 f"node budget {self.node_budget} exhausted "
@@ -276,13 +273,14 @@ class PowerEngine:
         if total % 2:
             raise ValueError(f"degree {total} is odd; no edge multiset can match")
         need = total // 2
-        if self._best(0, vec) < need:
+        res = self._pack(vec)
+        if self._best(0, res) < need:
             return None
         chosen = []
-        i, res = 0, vec
+        i = 0
         while need:
-            u, v = self._pos[i]
-            for t in range(min(res[u], res[v], need), -1, -1):
+            su, sv = self._shift[i]
+            for t in range(min(res >> su & _ONES, res >> sv & _ONES, need), -1, -1):
                 child = self._child(i, res, t)
                 if t + self._best(i + 1, child) >= need:
                     break

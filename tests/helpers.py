@@ -269,8 +269,8 @@ def reference_generators(g: Graph, caps) -> GeneratorSet:
     at the leaves."""
     engine = PowerEngine(g)
     caps = tuple(caps)
-    depth = engine._best(0, caps)
-    pos = engine._pos
+    depth = engine._best(0, engine._pack(caps))
+    pos = [(u - 1, v - 1) for u, v in g.sorted_edges]
     found = set()
     prod = [0] * g.n
 
@@ -281,14 +281,15 @@ def reference_generators(g: Graph, caps) -> GeneratorSet:
         if i == len(pos) or engine._best(i, res) < need:
             return
         u, v = pos[i]
-        for t in range(min(res[u], res[v], need), -1, -1):
+        digits = engine._vec.unpack(res.to_bytes(engine._vec.size, "little"))
+        for t in range(min(digits[u], digits[v], need), -1, -1):
             prod[u] += t
             prod[v] += t
             go(i + 1, engine._child(i, res, t), need - t)
             prod[u] -= t
             prod[v] -= t
 
-    go(0, caps, depth)
+    go(0, engine._pack(caps), depth)
     return GeneratorSet(g, caps, depth, frozenset(found))
 
 

@@ -23,6 +23,7 @@ from edgepow import (
     template,
 )
 from edgepow import corpus
+from edgepow import graph as graph_mod
 from edgepow.classify import _leg_profiles, _unicyclic_independence, lift_failing_caps
 from edgepow.fixtures import failing_instances
 from edgepow.powers import PowerEngine
@@ -213,6 +214,21 @@ def test_classify_graph_dispatch():
     assert classify_graph(path(7)).rule == "path(>=7)"
     assert classify_graph(template("c5star")).rule == "unicyclic(ii)"
     assert classify_graph(star(4)).rule == "tree(ii)"
+
+
+def test_dispatch_peels_each_graph_once(monkeypatch):
+    # classify_graph and cross_validate hand their probe to the tree and
+    # unicyclic rules instead of probing again
+    peeled = []
+    peel = graph_mod.peel_leaves
+    monkeypatch.setattr(
+        graph_mod, "peel_leaves", lambda g, keep=(): peeled.append(g) or peel(g, keep)
+    )
+    for g in (star(4), path(9), template("c3path3"), template("c5star")):
+        classify_graph(g)
+        cross_validate(g, 1)
+        assert peeled == [g, g]
+        peeled.clear()
 
 
 # --- template matchers vs an isomorphism oracle

@@ -27,7 +27,7 @@ from edgepow import (
 )
 from edgepow import exchange, fixtures, powers
 from edgepow.corpus import trees_up_to, unicyclic_up_to
-from edgepow.exchange import cap_grid
+from edgepow.exchange import ExchangeWitness, cap_grid
 from helpers import (
     SubmodularFunction,
     coverage_function,
@@ -220,6 +220,33 @@ def test_detect_veronese_count_matches_expansion():
     assert found == [reference_detect_veronese(w) for w in sets]
     assert found[-2:] == [None, None]
     assert 0 < sum(d is None for d in found) < len(found)
+
+
+def test_strong_check_matches_reference_loop_over_grids():
+    # check_strong_exchange passes a set of over 3 members that fills its
+    # slice without the swap loop; the full loop must still agree, witness
+    # included
+    sets = [w for g in trees_up_to(8) for _, w in cap_grid(g, 2)]
+    sets += [w for g in unicyclic_up_to(6) for _, w in cap_grid(g, 3)]
+    sets += [
+        enumerate_generators(fixtures.graph_of(f), f.caps) for f in fixtures.REGISTRY
+    ]
+    # mixed degree, two points that are not a slice, a single member
+    sets += [{(1, 0), (0, 0)}, {(1, 0, 1, 0), (0, 1, 0, 1)}, {(3, 1, 2)}]
+    got = [check_strong_exchange(w).to_json() for w in sets]
+    assert got == [reference_check_strong_exchange(w).to_json() for w in sets]
+    passes = sum(r["verdict"] == "pass" for r in got)
+    assert (len(sets), passes) == (8567, 6818)
+
+
+def test_spread_sets_are_refused_before_counting():
+    # a bound b >= |W| means W cannot fill its slice, which takes all b + 1
+    # values in that coordinate; the count is never run on such a set
+    spread = {(10**9, 0), (0, 10**9)}
+    assert detect_veronese(spread) is None
+    rep = check_strong_exchange(spread)
+    assert rep.witness == ExchangeWitness((0, 10**9), (10**9, 0), 2, 1, (1, 10**9 - 1))
+    assert detect_veronese({(2, 0), (1, 1), (0, 2)}).bounds == (2, 2)
 
 
 # --- counterexample search

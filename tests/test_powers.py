@@ -219,6 +219,35 @@ def test_decompose_refuses_entries_out_of_range():
     assert edge_decompose(K2, (MAX_CAP, MAX_CAP)).counts == (((1, 2), MAX_CAP),)
 
 
+def test_packed_states_at_the_bounds():
+    # 32 vertices at cap MAX_CAP: a digit sum reaches 32 * MAX_CAP = 2**20,
+    # which the mod (2**32 - 1) digit sum must still read exactly
+    top = (MAX_CAP,) * 32
+    alternate = tuple(((k, k + 1), MAX_CAP) for k in range(1, 32, 2))
+    for g in (path(32), cycle(32)):
+        engine = PowerEngine(g)
+        assert engine.delta(top) == 16 * MAX_CAP == 524288
+        w = engine.generators(top)
+        assert (w.delta, w.members) == (16 * MAX_CAP, {top})
+        assert engine.decompose(top).counts == alternate
+    # star:31 with leaf caps summing to the centre's MAX_CAP: tight, W = {c}
+    caps = (1057,) * 30 + (1058, MAX_CAP)
+    engine = PowerEngine(star(31))
+    assert engine.generators(caps).members == {caps}
+    assert engine.decompose(caps).counts == tuple(((k, 32), caps[k - 1]) for k in range(1, 32))
+    # a root that is not tight, with cap sum 2**16 + 5: x1^(C - b) x2^b x3^C
+    caps = (MAX_CAP, 5, MAX_CAP)
+    engine = PowerEngine(star(2))
+    w = engine.generators(caps)
+    assert w.delta == MAX_CAP and 2 * w.delta < sum(caps)
+    assert w.members == {(MAX_CAP - b, b, MAX_CAP) for b in range(6)}
+    assert w.members == reference_generators(star(2), caps).members
+    assert engine.decompose((MAX_CAP - 2, 2, MAX_CAP)).counts == (
+        ((1, 3), MAX_CAP - 2),
+        ((2, 3), 2),
+    )
+
+
 def test_decompose_agrees_with_membership():
     rng = random.Random(17)
     g = random_connected_graph(rng, n_max=6)
@@ -417,7 +446,7 @@ def test_shared_engine_matches_multiset_walk_over_cap_grids(monkeypatch):
                 assert (w.delta, w.members) == (ref.delta, ref.members), (g.edges, caps)
                 cells += 1
     tight = sum(
-        len(got) == 1 and e._vec.unpack(next(iter(got)).to_bytes(e._vec.size, "little")) == res
+        got == {res}
         for e in engines
         for (_, res), got in e._tops_memo.items()
     )
