@@ -20,13 +20,10 @@ peel: it tells trees and unicyclic graphs apart and gives the cycle, and
 the legs the templates read are a fold over its peel order.
 
 ``cross_validate`` confronts a verdict with bounded evidence: a clean cap
-grid for positive verdicts; for negative verdicts a grid counterexample or
-a failing cap vector lifted from a registered fixture instance through
-leaf re-attachment (add a leaf, bump its support cap by one, cap 1 on the
-leaf), which preserves strong-exchange failure.  Lifts run on the caller's
-engine.  A lift first checks that edges minus vertices agree between the
-base and g (leaf peeling keeps that count), then tries in lex order only
-subsets near their least vertex, as connected ones are, peeling each first.
+grid for positive verdicts; for negative verdicts a grid counterexample, a
+failing cap vector lifted in closed form from a registered fixture
+instance (``lift_failing_caps`` gives the proof), or, on a bare cycle of
+length >= 8, the cyc8 caps.  Lifts run on the caller's engine.
 """
 from __future__ import annotations
 
@@ -36,7 +33,7 @@ from itertools import combinations
 
 from . import corpus
 from .exchange import ExchangeReport, check_strong_exchange, search_sep_counterexample
-from .graph import Graph, induced_subgraph, peel_leaves, structure_probe
+from .graph import Graph, induced_subgraph, structure_probe
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, PowerEngine
 
 CMM_STEP_LIMIT = 1_000_000
@@ -366,23 +363,24 @@ class CrossValidation:
 def lift_failing_caps(engine: PowerEngine, base_graph: Graph, base_caps):
     """Transplant a failing cap vector from an induced copy of ``base_graph``.
 
-    Finds an induced embedded copy of base_graph inside g = engine.graph
-    reachable by leaf deletions, then re-attaches the deleted leaves one by
-    one: each leaf gets cap 1 and its support vertex gains 1.  Failure of
-    the strong exchange property survives each re-attachment, so the lifted
-    caps fail on g whenever the base caps fail on base_graph.  The result is
-    verified on the engine; returns (caps, report) or None.
-
-    Each leaf deletion removes one vertex and one edge, so a copy exists
-    only when base_graph and g have equal edges minus vertices.  A subset
-    that peeling reaches is connected, as g is, so it lies within k - 1
-    steps of its least vertex through larger labels.  Only such subsets are
-    tried, in the lex order of all k-subsets, so the first copy is the same.
+    g = engine.graph must be connected.  A re-attached leaf with cap 1, its
+    support's cap raised by 1, keeps strong exchange failing; so do all the
+    leaves that peel g down to a copy S.  Each removes a vertex and an edge,
+    so base_graph and g must agree in edges minus vertices, and then every
+    copy is reached: the n - k vertices outside S carry n - k edges, and
+    each component C of g - S touches S, so holds at least |C| of them,
+    hence is a tree hanging from S by one edge.  So the lift gives each
+    vertex outside S its degree, and each vertex of S its base cap plus its
+    edges leaving S.  Copies are connected, so only subsets within k - 1
+    steps of their least vertex through larger labels are tried, in lex
+    order, after a filter on induced degrees.  Returns the first failing
+    (caps, report), verified on the engine, or None.
     """
     g = engine.graph
     k = base_graph.n
     if len(base_graph.edges) - k != len(g.edges) - g.n:
         return None
+    degrees = sorted(base_graph.degrees)
     for first in range(1, g.n - k + 2):
         near, frontier = {first}, {first}
         for _ in range(k - 1):
@@ -390,20 +388,17 @@ def lift_failing_caps(engine: PowerEngine, base_graph: Graph, base_caps):
             near |= frontier
         for rest in combinations(sorted(near - {first}), k - 1):
             subset = (first,) + rest
-            order, left = peel_leaves(g, subset)
-            if len(left) != k:
+            inside = set(subset)
+            if sorted(len(g.adjacency[v - 1] & inside) for v in subset) != degrees:
                 continue
             sub, _ = induced_subgraph(g, subset)
             iso = corpus.find_isomorphism(base_graph, sub)
             if iso is None:
                 continue
-            caps = {}
-            for bv, cap in zip(range(1, k + 1), base_caps):
-                caps[subset[iso[bv] - 1]] = cap  # sub keeps subset's label order
-            for leaf, support in reversed(order):
-                caps[support] += 1
-                caps[leaf] = 1
-            vec = tuple(caps[v] for v in range(1, g.n + 1))
+            caps = list(g.degrees)
+            for bv, cap in enumerate(base_caps, 1):  # sub keeps subset's order
+                caps[subset[iso[bv] - 1] - 1] += cap - base_graph.degrees[bv - 1]
+            vec = tuple(caps)
             report = check_strong_exchange(engine.generators(vec))
             if not report.ok:
                 return vec, report
@@ -418,10 +413,11 @@ def cross_validate(
     """Check a classification verdict against bounded evidence.
 
     Positive verdicts must survive the full cap grid.  Negative verdicts
-    need a grid counterexample, or a failing cap vector lifted from one of
-    the registered fixture instances (some known failures need caps above
-    any small grid).  ``node_budget`` bounds the grid's engine, and the one
-    engine all fixture lifts share: the lifts together, not each lift.
+    need a grid counterexample, a failing cap vector lifted from one of
+    the registered fixture instances (some failures need caps beyond any
+    small grid) or, on a bare cycle, cyc8's.  ``node_budget`` bounds the
+    grid's engine, and the one engine all fixture lifts share: the lifts
+    together, not each lift.
     """
     probe = structure_probe(g)
     if probe.is_tree:
@@ -447,4 +443,9 @@ def cross_validate(
         if lifted is not None:
             caps, report = lifted
             return CrossValidation(verdict, True, "fixture-lift", caps, report)
+    if probe.cycle_length == g.n:  # cyc8's caps; cycles 8 and 9 keep their lift
+        caps = tuple(2 if v in (1, 3, 7) else 1 for v in range(1, g.n + 1))
+        report = check_strong_exchange(engine.generators(caps))
+        if not report.ok:
+            return CrossValidation(verdict, True, "closed-form", caps, report)
     return CrossValidation(verdict, False, "unconfirmed")

@@ -275,7 +275,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphError, BudgetError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) else exc  # unquoted
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -11,11 +11,10 @@ cycle), and induced subgraphs with explicit renumbering maps.
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion), and ``structure_probe`` is one call of it: a tree peels down to
 one vertex, a unicyclic graph to its unique cycle, and the peel order gives
-the trees hanging off that cycle.  Fixture lifting re-attaches leaves in
-its order.  Family constructors (so inline specs) and graph files refuse
-more than ``MAX_FAMILY_SIZE`` vertices or edges before building anything;
-a graph file larger than ``MAX_GRAPH_FILE_BYTES`` is refused before it is
-read.
+the trees hanging off that cycle.  Family constructors (so inline specs)
+and graph files refuse more than ``MAX_FAMILY_SIZE`` vertices or edges
+before building anything; a graph file larger than
+``MAX_GRAPH_FILE_BYTES`` is refused before it is read.
 """
 from __future__ import annotations
 
@@ -337,19 +336,17 @@ class StructureReport:
     order: tuple
 
 
-def peel_leaves(g: Graph, keep=()) -> tuple:
-    """Delete leaves outside ``keep`` one at a time, smallest label first.
+def peel_leaves(g: Graph) -> tuple:
+    """Delete leaves one at a time, smallest label first.
 
     A vertex is a leaf when exactly one of its neighbours is still present.
     Returns ``(order, left)``: the ``(leaf, support)`` pairs in deletion
-    order and the set of vertices never deleted.  Peeling reaches ``keep``
-    exactly when ``left == set(keep)``.  With ``keep`` empty a unicyclic
-    graph peels down to its cycle and a tree to one vertex.
+    order and the set of vertices never deleted.  A unicyclic graph peels
+    down to its cycle and a tree to one vertex.
     """
-    keep = set(keep)
     present = set(range(1, g.n + 1))
     degree = list(g.degrees)
-    heap = [v for v in present - keep if degree[v - 1] == 1]
+    heap = [v for v in present if degree[v - 1] == 1]
     heapq.heapify(heap)
     order = []
     while heap:
@@ -360,7 +357,7 @@ def peel_leaves(g: Graph, keep=()) -> tuple:
         support = next(w for w in g.adjacency[leaf - 1] if w in present)
         order.append((leaf, support))
         degree[support - 1] -= 1
-        if degree[support - 1] == 1 and support not in keep:
+        if degree[support - 1] == 1:
             heapq.heappush(heap, support)
     return order, present
 

@@ -817,7 +817,8 @@ def reference_unicyclic(n: int) -> tuple:
 
 # Reference fixture lift: every k-subset of the graph in lex order, each
 # filtered by its induced edge count, peeling and a guarded induced copy,
-# as the loop stood before the lift walked only connected candidates.
+# with the peel replayed leaf by leaf, as the loop stood before the lift
+# walked only connected candidates and took its caps in closed form.
 
 def reference_lift_failing_caps(engine: PowerEngine, base_graph: Graph, base_caps):
     """``classify.lift_failing_caps`` by the blind k-subset scan."""
@@ -831,8 +832,8 @@ def reference_lift_failing_caps(engine: PowerEngine, base_graph: Graph, base_cap
         induced = [1 for u, v in g.edges if u in inside and v in inside]
         if len(induced) != len(base_graph.edges):
             continue
-        order, left = peel_leaves(g, subset)
-        if left != inside:
+        order = reference_peel_order(g, subset)
+        if order is None:
             continue
         try:
             sub, _ = induced_subgraph(g, subset)

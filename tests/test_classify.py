@@ -222,7 +222,7 @@ def test_dispatch_peels_each_graph_once(monkeypatch):
     peeled = []
     peel = graph_mod.peel_leaves
     monkeypatch.setattr(
-        graph_mod, "peel_leaves", lambda g, keep=(): peeled.append(g) or peel(g, keep)
+        graph_mod, "peel_leaves", lambda g: peeled.append(g) or peel(g)
     )
     for g in (star(4), path(9), template("c3path3"), template("c5star")):
         classify_graph(g)
@@ -406,6 +406,13 @@ def test_cross_validate_uses_fixture_lift_when_grid_silent():
     assert cv.consistent and cv.evidence == "fixture-lift"
     assert cv.caps == (1, 1, 2, 1, 1, 1, 3) + (2,) * 18 + (1,)
     assert not cv.report.ok
+    # a hub with label 1 (24 one-vertex legs, one 6-vertex leg) puts the
+    # hub in every candidate subset
+    edges = [(1, v) for v in range(2, 27)] + [(v, v + 1) for v in range(26, 31)]
+    cv = cross_validate(graph_from_edges(31, edges), 1)
+    assert cv.consistent and cv.evidence == "fixture-lift"
+    assert cv.caps == (24,) + (1,) * 24 + (2, 1, 1, 1, 3, 1)
+    assert not cv.report.ok
 
 
 def test_cross_validate_budget_reaches_every_engine(monkeypatch):
@@ -440,12 +447,12 @@ def test_lift_failing_caps_direct():
     assert lift_failing_caps(PowerEngine(big), spider, (1,) * 6) is None
 
 
-def test_lift_failing_caps_matches_the_subset_scan():
-    # every fixture base against every tree on <= 9 and unicyclic graph on
-    # <= 8 vertices: the same first copy, caps and report as the blind scan
+def _lifts_against_the_subset_scan(graphs):
+    """(pairs, lifts) over every fixture base against ``graphs``, asserting
+    the same first copy, caps and report as the blind scan."""
     bases = failing_instances()
     pairs = lifts = 0
-    for g in corpus.trees_up_to(9) + corpus.unicyclic_up_to(8):
+    for g in graphs:
         engine = PowerEngine(g)
         for base, caps in bases:
             got = lift_failing_caps(engine, base, caps)
@@ -457,7 +464,41 @@ def test_lift_failing_caps_matches_the_subset_scan():
             else:
                 assert got[0] == want[0]
                 assert got[1].to_json() == want[1].to_json()
-    assert (pairs, lifts) == (6399, 280)
+    return pairs, lifts
+
+
+def test_lift_failing_caps_matches_the_subset_scan():
+    # every tree on <= 9 and unicyclic graph on <= 8 vertices
+    graphs = corpus.trees_up_to(9) + corpus.unicyclic_up_to(8)
+    assert _lifts_against_the_subset_scan(graphs) == (6399, 280)
+
+
+def test_lift_failing_caps_matches_the_subset_scan_on_relabelled_graphs():
+    # random labels move hubs and cycles off the natural order, where the
+    # closed-form caps must still equal the replayed peel of the first copy
+    rng = random.Random(20)
+    graphs = [
+        shuffled(rng, g)
+        for pool in (
+            corpus.all_trees(10),
+            corpus.all_trees(11),
+            corpus.all_unicyclic(9),
+            corpus.all_unicyclic(10),
+        )
+        for g in rng.sample(pool, 15)
+    ]
+    assert _lifts_against_the_subset_scan(graphs) == (1620, 141)
+
+
+def test_cross_validate_confirms_every_long_cycle():
+    # cycles of length 8 and 9 lift cyc8 and cyc9; longer ones have no
+    # fixture that embeds and take cyc8's caps in closed form
+    for n in range(8, 33):
+        cv = cross_validate(cycle(n), 1)
+        assert cv.consistent and not cv.report.ok
+        assert cv.evidence == ("fixture-lift" if n <= 9 else "closed-form")
+        if n >= 10:
+            assert cv.caps == (2, 1, 2, 1, 1, 1, 2) + (1,) * (n - 7)
 
 
 @pytest.mark.parametrize(
