@@ -11,13 +11,14 @@ tags:
   edge per leaf; tree(none)
 * unicyclic(i): cycle length >= 8, never;
   unicyclic(ii): cycle length 5..7, decided by independence number <= 3
-  (exact in linear time through two forests, at any size);
+  (exact at any size, a fold over the peel order);
   unicyclic(iii)(1|2|3): cycle length 4 templates;
   unicyclic(iv)(1|2|3): cycle length 3 templates; (none) otherwise.
 
 The structure behind these rules is one ``structure_probe``, so one leaf
 peel: it tells trees and unicyclic graphs apart and gives the cycle, and
-the legs the templates read are a fold over its peel order.
+the independence number and the legs the templates read are folds over
+its peel order.
 
 ``cross_validate`` confronts a verdict with bounded evidence: a clean cap
 grid for positive verdicts; for negative verdicts a grid counterexample, a
@@ -65,14 +66,6 @@ def classify_path(n: int) -> ClassificationVerdict:
     return ClassificationVerdict(False, "path(>=7)", {"n": n})
 
 
-def _is_path_graph(g: Graph) -> bool:
-    # callers guarantee g is a tree
-    if g.n == 2:
-        return True
-    degs = sorted(g.degrees)
-    return degs.count(1) == 2 and all(d == 2 for d in degs[2:])
-
-
 def _star_whisker_center(g: Graph):
     """A vertex from which g is a star with at most one pendant per leaf, or None."""
     for center in range(1, g.n + 1):
@@ -104,7 +97,7 @@ def classify_tree(g: Graph) -> ClassificationVerdict:
 def _tree_verdict(g: Graph, probe) -> ClassificationVerdict:
     if not probe.is_tree:
         raise ValueError("classify_tree requires a tree")
-    if g.n == 6 and _is_path_graph(g):
+    if g.n == 6 and max(g.degrees) <= 2:  # a tree of maximum degree 2 is a path
         return ClassificationVerdict(True, "tree(i)", {"n": g.n})
     center = _star_whisker_center(g)
     if center is not None:
@@ -135,32 +128,29 @@ def _leg_profiles(probe) -> list:
     return [None if legs[v] is None else tuple(sorted(legs[v])) for v in probe.cycle]
 
 
-def _unicyclic_independence(g: Graph, a: int) -> int:
-    """max(alpha(G - a), 1 + alpha(G - N[a])) for ``a`` on the unique cycle.
+def _unicyclic_independence(probe) -> int:
+    """alpha(G) of a unicyclic graph, one fold over the peel order.
 
-    Both sides are forests, where greedy leaf-taking is exact: some maximum
-    independent set holds any vertex with at most one neighbour left.
+    Children first, take each peeled vertex unless a taken child blocks
+    it, and block its support.  Taken and blocked vertices leave the
+    graph; a blocked one has a taken neighbour.  Each peeled vertex is then
+    a leaf, or isolated, in what is left, and some maximum independent set
+    of what is left holds such a vertex.  What is left at the end is the
+    cycle minus its blocked vertices: the whole cycle, with floor(L/2), or
+    free arcs of p consecutive vertices, ceil(p/2) each.
     """
-
-    def forest(left):
-        degree = {v: len(g.adjacency[v - 1] & left) for v in left}
-        stack = [v for v in left if degree[v] <= 1]
-        size = 0
-        while stack:
-            v = stack.pop()
-            if v in left:
-                size += 1
-                gone = g.adjacency[v - 1] & left | {v}
-                left -= gone
-                for w in gone:
-                    for x in g.adjacency[w - 1] & left:
-                        degree[x] -= 1
-                        if degree[x] == 1:
-                            stack.append(x)
-        return size
-
-    rest = set(range(1, g.n + 1)) - {a}
-    return max(forest(set(rest)), 1 + forest(rest - g.adjacency[a - 1]))
+    blocked = set()
+    alpha = 0
+    for leaf, support in probe.order:
+        if leaf not in blocked:
+            alpha += 1
+            blocked.add(support)
+    ring = "".join("|" if v in blocked else "o" for v in probe.cycle)
+    if "|" not in ring:
+        return alpha + len(ring) // 2
+    cut = ring.index("|")  # read from a blocked vertex, no arc wraps around
+    arcs = (ring[cut:] + ring[:cut]).split("|")
+    return alpha + sum((len(arc) + 1) // 2 for arc in arcs)
 
 
 def classify_unicyclic(g: Graph) -> ClassificationVerdict:
@@ -175,7 +165,7 @@ def _unicyclic_verdict(g: Graph, probe) -> ClassificationVerdict:
     if ell >= 8:
         return ClassificationVerdict(False, "unicyclic(i)", {"cycle_length": ell})
     if ell in (5, 6, 7):
-        alpha = _unicyclic_independence(g, cyc[0])
+        alpha = _unicyclic_independence(probe)
         return ClassificationVerdict(
             alpha <= 3,
             "unicyclic(ii)",
@@ -238,7 +228,7 @@ def classify_graph(g: Graph) -> ClassificationVerdict:
     probe = structure_probe(g)
     if probe.is_unicyclic and probe.cycle_length == g.n:
         return classify_cycle(g.n)
-    if probe.is_tree and _is_path_graph(g):
+    if probe.is_tree and max(g.degrees) <= 2:  # a path, n = 2 included
         return classify_path(g.n)
     if probe.is_tree:
         return _tree_verdict(g, probe)
@@ -439,6 +429,8 @@ def cross_validate(
 
     engine = PowerEngine(g, node_budget)
     for base_graph, base_caps in failing_instances():
+        if base_graph.n < probe.cycle_length:
+            continue  # a copy of a unicyclic base holds g's one cycle
         lifted = lift_failing_caps(engine, base_graph, base_caps)
         if lifted is not None:
             caps, report = lifted

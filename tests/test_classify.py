@@ -127,17 +127,27 @@ def test_unicyclic_alpha_clause():
 
 
 def test_unicyclic_independence_matches_reference():
+    # every unicyclic graph on <= 8 vertices, relabelled three ways, and
+    # 1,500 random relabelled ones on <= 12
     rng = random.Random(23)
     graphs = corpus.unicyclic_up_to(8)
     assert len(graphs) == 143
+    graphs = [shuffled(rng, g) for g in graphs for _ in range(3)]
+    target = len(graphs) + 1500
+    while len(graphs) < target:
+        g = random_connected_graph(rng, n_min=3, n_max=12, extra_max=1)
+        if len(g.edges) == g.n:
+            graphs.append(shuffled(rng, g))
+    bare = pendant_on_cycle = 0
     for g in graphs:
-        for _ in range(3):
-            perm = list(range(1, g.n + 1))
-            rng.shuffle(perm)
-            h = graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
-            want = independence_number(h)
-            for a in structure_probe(h).cycle:
-                assert _unicyclic_independence(h, a) == want
+        probe = structure_probe(g)
+        assert _unicyclic_independence(probe) == independence_number(g), g
+        # a bare cycle has no blocked vertex; a leaf on the cycle blocks its support
+        bare += probe.cycle_length == g.n
+        pendant_on_cycle += any(
+            g.degree(w) == 1 for v in probe.cycle for w in g.neighbors(v)
+        )
+    assert bare >= 200 and pendant_on_cycle >= 1000
 
 
 def test_leg_profiles_match_reference_walker():
@@ -159,13 +169,32 @@ def test_leg_profiles_match_reference_walker():
     assert forks >= 500
 
 
-def test_unicyclic_alpha_clause_beyond_search_limit():
-    # a 5-cycle with a 40-vertex tail: 45 vertices, past the n <= 32 search
-    g = graph_from_edges(45, list(cycle(5).edges) + [(i, i + 1) for i in range(5, 45)])
-    assert classify_graph(g).to_json() == {
+@pytest.mark.parametrize(
+    "n,edges,ell,alpha",
+    [
+        # a 5-cycle with a 40-vertex tail: 45 vertices, past the n <= 32 search
+        pytest.param(
+            45,
+            list(cycle(5).edges) + [(i, i + 1) for i in range(5, 45)],
+            5,
+            22,
+            id="c5-tail-45",
+        ),
+        # a 7-cycle whose vertex 1 carries 99,993 pendants
+        pytest.param(
+            100_000,
+            list(cycle(7).edges) + [(1, v) for v in range(8, 100_001)],
+            7,
+            99_996,
+            id="c7-pendants-100000",
+        ),
+    ],
+)
+def test_unicyclic_alpha_clause_beyond_search_limit(n, edges, ell, alpha):
+    assert classify_graph(graph_from_edges(n, edges)).to_json() == {
         "sep": False,
         "rule": "unicyclic(ii)",
-        "detail": {"cycle_length": 5, "independence_number": 22},
+        "detail": {"cycle_length": ell, "independence_number": alpha},
     }
 
 
@@ -224,7 +253,8 @@ def test_dispatch_peels_each_graph_once(monkeypatch):
     monkeypatch.setattr(
         graph_mod, "peel_leaves", lambda g: peeled.append(g) or peel(g)
     )
-    for g in (star(4), path(9), template("c3path3"), template("c5star")):
+    # cycle(12): the lift filter skips every fixture base without a probe
+    for g in (star(4), path(9), template("c3path3"), template("c5star"), cycle(12)):
         classify_graph(g)
         cross_validate(g, 1)
         assert peeled == [g, g]
