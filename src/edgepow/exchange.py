@@ -36,6 +36,29 @@ keeps the generator set) without normalising any vector, by this lemma:
 * so the first grid vector with normal form X is X, and the walk yields
   exactly the grid vectors with ``caps[v] <= sum of caps[w]`` over the
   neighbours w of every vertex v.
+
+The search needs only one cap vector per orbit of the graph's
+automorphisms (lex-leader symmetry breaking: Crawford, Ginsberg, Luks and
+Roy, KR 1996), and ``cap_grid(..., one_per_orbit=True)`` skips every vector
+that an automorphism from ``graph.automorphisms`` maps to a lex-smaller one.
+The search returns what the full walk returns, by this lemma:
+
+* an automorphism sigma maps W(c) onto W(c o sigma) by permuting
+  coordinates, and the strong property does not depend on coordinate
+  order; the grid and the fixed-point test are sigma-invariant too;
+* so the whole orbit of the full walk's first failing vector fails, and
+  that vector is the lex-least member of its orbit;
+* a filter that uses any subset of Aut(G) therefore never skips it, and
+  every earlier vector the filter keeps also passes in the full walk, so
+  the search returns the same first failure and the same report;
+* a vector whose caps ascend within every class of a colouring that
+  automorphisms keep (``graph._colours``: two refinement rounds from the
+  degrees) is least among all colour-preserving rearrangements, so least
+  in its orbit: such vectors skip the test, and the automorphisms are
+  found at the first vector with an inversion inside a class.
+
+``conjecture_scan`` counts every instance and streams each one to its
+``on_instance`` callback, so it walks every vector.
 """
 from __future__ import annotations
 
@@ -43,7 +66,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .graph import Graph
+from .graph import Graph, _automorphisms, _colours
 from .powers import (
     DEFAULT_NODE_BUDGET,
     BudgetError,
@@ -287,13 +310,54 @@ def check_grid(n: int, cap_max: int) -> None:
     check_vertices(n)
 
 
-def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
+def _lex_leader(graph: Graph):
+    """A test that keeps a cap vector unless a found automorphism maps it to
+    a lex-smaller one (module docstring).  Nothing is computed for the
+    first vector, which is constant; then only consecutive members of a
+    colour class are compared until the automorphisms are needed."""
+    colours = runs = perms = None
+
+    def keep(caps):
+        nonlocal colours, runs, perms
+        if runs is None:
+            if min(caps) == max(caps):
+                return True
+            colours = _colours(graph)
+            last, runs = {}, []
+            for v, c in enumerate(colours):
+                if c in last:
+                    runs.append((last[c], v))
+                last[c] = v
+        for a, b in runs:
+            if caps[a] > caps[b]:
+                break
+        else:
+            return True
+        if perms is None:
+            perms = [tuple(x - 1 for x in s) for s in _automorphisms(graph, colours)]
+            if not perms:
+                runs = ()
+        get = caps.__getitem__
+        return not any(tuple(map(get, p)) < caps for p in perms)
+
+    return keep
+
+
+def cap_grid(
+    graph: Graph,
+    cap_max: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    one_per_orbit: bool = False,
+):
     """Yield (caps, generator set) for each grid vector of {1..cap_max}^n that
     is its own normal form, in ascending lex order: by the lemma in the module
     docstring, once per normal form and without normalising.  A vertex of
     degree >= cap_max has a neighbour sum of at least cap_max, so only the
-    others are tested.  ``check_grid`` runs before the first vector; one
-    engine's memo serves the whole grid, and no per-vector state is kept."""
+    others are tested.  With ``one_per_orbit``, a vector that a found
+    automorphism makes lex-smaller is skipped before the engine sees it.
+    ``check_grid`` runs before the first vector; one engine's memo serves
+    the whole grid, and no per-vector state is kept."""
     check_grid(graph.n, cap_max)
     engine = PowerEngine(graph, node_budget)
     low = [
@@ -301,12 +365,14 @@ def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET)
         for v, nbrs in enumerate(graph.adjacency)
         if len(nbrs) < cap_max
     ]
+    keep = _lex_leader(graph) if one_per_orbit else None
     for caps in product(range(1, cap_max + 1), repeat=graph.n):
         for v, nbrs in low:
             if caps[v] > sum(map(caps.__getitem__, nbrs)):
                 break
         else:
-            yield caps, engine.generators(caps)
+            if keep is None or keep(caps):
+                yield caps, engine.generators(caps)
 
 
 def search_sep_counterexample(
@@ -316,9 +382,11 @@ def search_sep_counterexample(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
     """First cap vector of ``cap_grid`` whose generator set fails the strong
-    exchange property, with its report; None if the whole grid passes.
-    ``workers`` is accepted for compatibility and has no effect."""
-    for caps, gens in cap_grid(graph, cap_max, node_budget):
+    exchange property, with its report; None if the whole grid passes.  The
+    walk visits one vector per automorphism orbit, which by the module
+    docstring returns what the full walk returns.  ``workers`` is accepted
+    for compatibility and has no effect."""
+    for caps, gens in cap_grid(graph, cap_max, node_budget, one_per_orbit=True):
         report = check_strong_exchange(gens)
         if not report.ok:
             return caps, report

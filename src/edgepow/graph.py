@@ -6,7 +6,8 @@ isolated vertices are rejected.  The module provides the standard families
 used by the rest of the package (cycles, paths, stars, whiskered stars,
 complete multipartite graphs minus a matching, a table of named small
 graphs), a structure probe (tree/unicyclic detection with the unique
-cycle), and induced subgraphs with explicit renumbering maps.
+cycle), an automorphism finder for the counterexample search, and induced
+subgraphs with explicit renumbering maps.
 
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion), and ``structure_probe`` is one call of it: a tree peels down to
@@ -396,6 +397,126 @@ def structure_probe(g: Graph) -> StructureReport:
         cycle_length=len(cyc) if cyc else 0,
         order=tuple(order),
     )
+
+
+def _colours(g: Graph) -> tuple:
+    """``_colours(g)[v - 1]`` is v's colour after two refinement rounds from
+    the degrees, each pairing a vertex's colour with the sum of its
+    neighbours' colours; so an automorphism keeps every vertex's colour."""
+    colour = list(g.degrees)
+    for _ in range(2):
+        around = [0] * g.n
+        for u, v in g.edges:
+            around[u - 1] += colour[v - 1]
+            around[v - 1] += colour[u - 1]
+        base = max(around) + 1
+        colour = [c * base + a for c, a in zip(colour, around)]
+    return tuple(colour)
+
+
+_AUTOMORPHISM_STEPS = 1_000  # candidate images one target may try
+
+
+def automorphisms(g: Graph) -> tuple:
+    """Automorphisms of g, each a tuple ``sigma`` with ``sigma[v - 1]`` the
+    image of v; () when only the identity is found.  Deterministic.
+
+    For each vertex i and each later vertex w of i's colour (``_colours``)
+    with the same neighbours among 1..i - 1, a backtracking search looks
+    for the first automorphism that fixes 1..i - 1 and maps i to w
+    (individualisation and refinement: McKay and Piperno, 2014).  It
+    matches the vertices after i in breadth-first order from vertex 1, each
+    to an unused vertex of its colour next to the image of its anchor (the
+    vertex that reached it) and next to the images of all its matched
+    neighbours.  So every edge maps to an edge, and a bijection that does
+    so is an automorphism, as both edge sets have m members.  When every
+    search completes, level i holds an automorphism to each vertex of i's
+    orbit under the stabiliser of 1..i - 1, so the result generates
+    Aut(g).  A search past ``_AUTOMORPHISM_STEPS`` candidates skips its
+    target, which leaves a subset.
+    """
+    return _automorphisms(g, _colours(g))
+
+
+def _automorphisms(g: Graph, colours: tuple) -> tuple:
+    """``automorphisms(g)`` with ``_colours(g)`` already at hand."""
+    colour = (None,) + colours
+    nbrs = [()] + [sorted(a) for a in g.adjacency]
+    classes = {}
+    for v in range(1, g.n + 1):
+        classes.setdefault(colour[v], []).append(v)
+    order = _bfs_order(nbrs)
+    found = []
+    for i in range(1, g.n):
+        members = classes[colour[i]]
+        fixed = [u for u in nbrs[i] if u < i]
+        free = None
+        for w in members[members.index(i) + 1:]:
+            if fixed != [u for u in nbrs[w] if u < i]:
+                continue
+            if free is None:
+                free = [(v, a) for v, a in order if v > i]
+            sigma = _first_extension(g, nbrs, colour, i, w, free)
+            if sigma is not None:
+                found.append(tuple(sigma[1:]))
+    return tuple(found)
+
+
+def _bfs_order(nbrs):
+    """Every vertex in breadth-first order from 1 as ``(v, anchor)``: the
+    anchor is the vertex that reached v, or 0 for the first vertex of each
+    component."""
+    queue, anchor = [], {}
+    head = 0
+    for root in range(1, len(nbrs)):
+        if root not in anchor:
+            anchor[root] = 0
+            queue.append(root)
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in nbrs[v]:
+                if w not in anchor:
+                    anchor[w] = v
+                    queue.append(w)
+    return [(v, anchor[v]) for v in queue]
+
+
+def _first_extension(g, nbrs, colour, i, w, free):
+    """The first automorphism fixing 1..i - 1 and mapping i to w, as a list
+    with ``sigma[v]`` the image of v, or None: none exists, or the step
+    bound ran out.  ``free`` lists the vertices after i in breadth-first
+    order with their anchors, each of which comes earlier or is at most i."""
+    n = g.n
+    adj = (None,) + g.adjacency
+    sigma = list(range(i)) + [w] + [0] * (n - i)
+    used = [x < i or x == w for x in range(n + 1)]
+    steps = 0
+    pools = []
+    k = 0
+    while k < len(free):
+        v, a = free[k]
+        if len(pools) == k:
+            pool = nbrs[sigma[a]] if a else range(1, n + 1)
+            pools.append(iter([x for x in pool if not used[x] and colour[x] == colour[v]]))
+        else:
+            used[sigma[v]] = False
+            sigma[v] = 0
+        for x in pools[k]:
+            steps += 1
+            if steps > _AUTOMORPHISM_STEPS:
+                return None
+            if all(sigma[u] in adj[x] for u in nbrs[v] if sigma[u]):
+                sigma[v] = x
+                used[x] = True
+                k += 1
+                break
+        else:
+            pools.pop()
+            k -= 1
+            if k < 0:
+                return None
+    return sigma
 
 
 def induced_subgraph(g: Graph, keep) -> tuple:

@@ -28,7 +28,8 @@ multiset only for a failure witness.  ``fibers`` unpacks every group into
 the public ``Fiber`` form.
 
 ``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
-the walk the strong-exchange counterexample search shares, with its bounds;
+the walk the strong-exchange counterexample search shares, with its bounds,
+but visits every cell where the search visits one per automorphism orbit;
 ``check_unicyclic_scan`` holds every bound of a scan of the unicyclic corpus.
 """
 from __future__ import annotations
@@ -402,7 +403,7 @@ def conjecture_scan(
     violations = []
     skips = []
     for gi, g in enumerate(graphs):
-        for _, gens in cap_grid(g, cap_max, node_budget):
+        for _, gens in cap_grid(g, cap_max, node_budget, one_per_orbit=False):
             if check_strong_exchange(gens).ok:
                 strong_pass += 1
             else:

@@ -25,7 +25,7 @@ from edgepow import (
     sym_exchange_binomials,
     template,
 )
-from edgepow import exchange, fixtures, powers
+from edgepow import exchange, fixtures, graph, powers
 from edgepow.corpus import trees_up_to, unicyclic_up_to
 from edgepow.exchange import ExchangeWitness, cap_grid
 from helpers import (
@@ -42,6 +42,7 @@ from helpers import (
     reference_check_symmetric_exchange,
     reference_detect_veronese,
     reference_sym_exchange_binomials,
+    shuffled,
 )
 
 K2 = graph_from_edges(2, [(1, 2)])
@@ -303,7 +304,9 @@ def test_search_runs_in_process_at_any_worker_count(monkeypatch):
         calls.clear()
         found = search_sep_counterexample(cycle(10), 3, workers=workers)
         results.append((len(calls), found[0], found[1].to_json()))
-    assert results[0][0] == 9
+    # the first hit is the ninth cell of the full walk; three of the eight
+    # before it are rotations or reflections of earlier ones
+    assert results[0][0] == 6
     assert results[1] == results[0]
 
 
@@ -340,6 +343,73 @@ def test_cap_grid_matches_the_normalising_walk():
             (caps, gens.delta, gens.members) for caps, gens in reference_cap_grid(g, cap_max)
         ]
         assert walked == reference, (g, cap_max)
+
+
+def _engines(monkeypatch):
+    """Every PowerEngine that runs ``generators``, in order of first use."""
+    engines = []
+    original = PowerEngine.generators
+
+    def recording(self, caps):
+        if self not in engines:
+            engines.append(self)
+        return original(self, caps)
+
+    monkeypatch.setattr(PowerEngine, "generators", recording)
+    return engines
+
+
+def _full_walk(g, cap_max):
+    """The first failure of the scan's walk (every cell), as the search
+    reports it, or None."""
+    for caps, gens in cap_grid(g, cap_max, one_per_orbit=False):
+        report = check_strong_exchange(gens)
+        if not report.ok:
+            return caps, report.to_json()
+    return None
+
+
+def test_orbit_search_matches_the_full_walk(monkeypatch):
+    # the lemma in the exchange docstring: the full walk's first failure is
+    # least in its orbit, so skipping every non-least cell keeps it
+    cases = [(g, 2) for g in trees_up_to(9) + unicyclic_up_to(8)]
+    cases += [(g, 3) for g in trees_up_to(7) + unicyclic_up_to(6)]
+    named = ("multipartite:2,2,2", "multipartite:3,3", "star:6", "star_whisker:3,2", "cycle:8")
+    cases += [(from_spec(s), 3) for s in named]
+    rng = random.Random(22)
+    cases += [(shuffled(rng, from_spec(s)), 3) for s in named for _ in range(2)]
+    cases += [(shuffled(rng, g), 2) for g in trees_up_to(9)[-6:] + unicyclic_up_to(8)[-6:]]
+    engines = _engines(monkeypatch)
+    for g, cap_max in cases:
+        engines.clear()
+        want = _full_walk(g, cap_max)
+        found = search_sep_counterexample(g, cap_max)
+        got = None if found is None else (found[0], found[1].to_json())
+        assert got == want, (g, cap_max)
+        full, reduced = engines
+        assert reduced.nodes <= full.nodes, (g, cap_max)
+
+
+def test_orbit_search_under_a_step_bound_of_one(monkeypatch):
+    # fewer automorphisms weaken the filter but never change the answer
+    monkeypatch.setattr(graph, "_AUTOMORPHISM_STEPS", 1)
+    for spec, cap_max in (("cycle:7", 2), ("template:c4twopath", 2), ("cycle:10", 3), ("star:6", 3)):
+        g = from_spec(spec)
+        found = search_sep_counterexample(g, cap_max)
+        got = None if found is None else (found[0], found[1].to_json())
+        assert got == _full_walk(g, cap_max), spec
+
+
+def test_search_finds_no_automorphism_before_an_inversion(monkeypatch):
+    # c3fork fails at its first cell, all ones, which ascends in every
+    # colour class, so the search needs neither colours nor automorphisms
+    def refuse(*args):
+        raise AssertionError("colours or automorphisms computed")
+
+    monkeypatch.setattr(exchange, "_colours", refuse)
+    monkeypatch.setattr(exchange, "_automorphisms", refuse)
+    caps, report = search_sep_counterexample(template("c3fork"), 2)
+    assert caps == (1,) * 6 and not report.ok
 
 
 def test_grid_search_never_normalises(monkeypatch):

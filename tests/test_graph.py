@@ -21,9 +21,11 @@ from edgepow import (
 )
 from edgepow import corpus
 from edgepow import graph as graph_mod
-from edgepow.graph import MAX_FAMILY_SIZE, MAX_GRAPH_FILE_BYTES, peel_leaves
+from edgepow.graph import MAX_FAMILY_SIZE, MAX_GRAPH_FILE_BYTES, automorphisms, peel_leaves
 from helpers import (
     delete_vertex,
+    group_order,
+    networkx_automorphism_count,
     independence_number,
     is_triangle_free,
     random_connected_graph,
@@ -390,3 +392,32 @@ def test_star_center_labeling():
     g = star(4)
     assert g.neighbors(5) == frozenset({1, 2, 3, 4})
     assert all(g.degree(i) == 1 for i in range(1, 5))
+
+
+def test_automorphisms_preserve_edges_and_generate_the_whole_group():
+    graphs = corpus.trees_up_to(9) + corpus.unicyclic_up_to(8)
+    graphs += tuple(from_spec(s) for s in ("multipartite:3,3,3", "star:9", "cycle:30"))
+    for g in graphs:
+        found = automorphisms(g)
+        for sigma in found:
+            assert sorted(sigma) == list(range(1, g.n + 1)) and sigma != tuple(sorted(sigma))
+            image = {tuple(sorted((sigma[u - 1], sigma[v - 1]))) for u, v in g.edges}
+            assert image == g.edges, (g, sigma)
+        assert group_order(found, g.n) == networkx_automorphism_count(g), g
+        assert automorphisms(g) == found
+
+
+def test_asymmetric_graph_has_no_automorphism():
+    # the smallest asymmetric tree: legs of lengths 1, 2 and 3 from one hub
+    spider = graph_from_edges(7, [(1, 2), (1, 3), (3, 4), (1, 5), (5, 6), (6, 7)])
+    for g in (spider, template("c3pathpend"), template("c4pendpath")):
+        assert networkx_automorphism_count(g) == 1
+        assert automorphisms(g) == ()
+
+
+def test_automorphism_step_bound_leaves_a_subset(monkeypatch):
+    g = from_spec("multipartite:3,3,3")
+    full = set(automorphisms(g))
+    monkeypatch.setattr(graph_mod, "_AUTOMORPHISM_STEPS", 1)
+    bounded = automorphisms(g)
+    assert set(bounded) < full
