@@ -37,13 +37,16 @@ keeps the generator set) without normalising any vector, by this lemma:
   exactly the grid vectors with ``caps[v] <= sum of caps[w]`` over the
   neighbours w of every vertex v.
 
-The search needs only one cap vector per orbit of the graph's
+Both consumers need the engine on one cap vector per orbit of the graph's
 automorphisms (lex-leader symmetry breaking: Crawford, Ginsberg, Luks and
-Roy, KR 1996), and ``cap_grid(..., one_per_orbit=True)`` skips every vector
-that an automorphism from ``graph.automorphisms`` maps to a lex-smaller one.
-The search returns what the full walk returns, by this lemma:
+Roy, KR 1996).  ``cap_grid`` still yields every fixed-point cell, but the
+engine computes only those that no automorphism from
+``graph.automorphisms`` maps to a lex-smaller vector; any other cell comes
+with the automorphism sigma that maps it to the earlier cell caps o sigma.
+The search skips those cells and returns what the full walk returns, by
+this lemma:
 
-* an automorphism sigma maps W(c) onto W(c o sigma) by permuting
+* an automorphism sigma maps W(c o sigma) onto W(c) by permuting
   coordinates, and the strong property does not depend on coordinate
   order; the grid and the fixed-point test are sigma-invariant too;
 * so the whole orbit of the full walk's first failing vector fails, and
@@ -57,8 +60,8 @@ The search returns what the full walk returns, by this lemma:
   in its orbit: such vectors skip the test, and the automorphisms are
   found at the first vector with an inversion inside a class.
 
-``conjecture_scan`` counts every instance and streams each one to its
-``on_instance`` callback, so it walks every vector.
+``conjecture_scan`` counts and streams every cell, and replays a skipped
+cell from its earlier image (the ``toric`` docstring).
 """
 from __future__ import annotations
 
@@ -66,14 +69,8 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .graph import Graph, _automorphisms, _colours
-from .powers import (
-    DEFAULT_NODE_BUDGET,
-    BudgetError,
-    GeneratorSet,
-    PowerEngine,
-    check_vertices,
-)
+from .graph import Graph, _automorphisms, _colours, check_vertices
+from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, PowerEngine
 # perfbench/spans.py patches normalize_caps by name here
 from .powers import normalize_caps  # noqa: F401
 
@@ -311,17 +308,19 @@ def check_grid(n: int, cap_max: int) -> None:
 
 
 def _lex_leader(graph: Graph):
-    """A test that keeps a cap vector unless a found automorphism maps it to
-    a lex-smaller one (module docstring).  Nothing is computed for the
-    first vector, which is constant; then only consecutive members of a
-    colour class are compared until the automorphisms are needed."""
+    """A test that returns None for a cap vector that no found automorphism
+    maps to a lex-smaller one (module docstring), and else the first
+    automorphism sigma, 0-based, with caps o sigma lex-smaller.  Nothing is
+    computed for the first vector, which is constant; then only consecutive
+    members of a colour class are compared until the automorphisms are
+    needed."""
     colours = runs = perms = None
 
-    def keep(caps):
+    def leader(caps):
         nonlocal colours, runs, perms
         if runs is None:
             if min(caps) == max(caps):
-                return True
+                return None
             colours = _colours(graph)
             last, runs = {}, []
             for v, c in enumerate(colours):
@@ -332,32 +331,29 @@ def _lex_leader(graph: Graph):
             if caps[a] > caps[b]:
                 break
         else:
-            return True
+            return None
         if perms is None:
             perms = [tuple(x - 1 for x in s) for s in _automorphisms(graph, colours)]
             if not perms:
                 runs = ()
         get = caps.__getitem__
-        return not any(tuple(map(get, p)) < caps for p in perms)
+        return next((p for p in perms if tuple(map(get, p)) < caps), None)
 
-    return keep
+    return leader
 
 
-def cap_grid(
-    graph: Graph,
-    cap_max: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    *,
-    one_per_orbit: bool = False,
-):
-    """Yield (caps, generator set) for each grid vector of {1..cap_max}^n that
-    is its own normal form, in ascending lex order: by the lemma in the module
-    docstring, once per normal form and without normalising.  A vertex of
-    degree >= cap_max has a neighbour sum of at least cap_max, so only the
-    others are tested.  With ``one_per_orbit``, a vector that a found
-    automorphism makes lex-smaller is skipped before the engine sees it.
+def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Yield (caps, generator set, sigma) for each grid vector of {1..cap_max}^n
+    that is its own normal form, in ascending lex order: by the lemma in the
+    module docstring, once per normal form and without normalising.  A
+    vertex of degree >= cap_max has a neighbour sum of at least cap_max, so
+    only the others are tested.  sigma is None on a cell that the orbit
+    filter keeps, and the engine computes its generator set; any other cell
+    has no generator set and the automorphism, 0-based, under which
+    ``caps o sigma`` is a lex-smaller, so earlier, cell of this walk.
     ``check_grid`` runs before the first vector; one engine's memo serves
-    the whole grid, and no per-vector state is kept."""
+    the kept cells, so the node budget charges those only, and no
+    per-vector state is kept."""
     check_grid(graph.n, cap_max)
     engine = PowerEngine(graph, node_budget)
     low = [
@@ -365,14 +361,14 @@ def cap_grid(
         for v, nbrs in enumerate(graph.adjacency)
         if len(nbrs) < cap_max
     ]
-    keep = _lex_leader(graph) if one_per_orbit else None
+    leader = _lex_leader(graph)
     for caps in product(range(1, cap_max + 1), repeat=graph.n):
         for v, nbrs in low:
             if caps[v] > sum(map(caps.__getitem__, nbrs)):
                 break
         else:
-            if keep is None or keep(caps):
-                yield caps, engine.generators(caps)
+            sigma = leader(caps)
+            yield caps, engine.generators(caps) if sigma is None else None, sigma
 
 
 def search_sep_counterexample(
@@ -382,12 +378,13 @@ def search_sep_counterexample(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
     """First cap vector of ``cap_grid`` whose generator set fails the strong
-    exchange property, with its report; None if the whole grid passes.  The
-    walk visits one vector per automorphism orbit, which by the module
+    exchange property, with its report; None if the whole grid passes.  It
+    checks only the cells that carry no automorphism, which by the module
     docstring returns what the full walk returns.  ``workers`` is accepted
     for compatibility and has no effect."""
-    for caps, gens in cap_grid(graph, cap_max, node_budget, one_per_orbit=True):
-        report = check_strong_exchange(gens)
-        if not report.ok:
-            return caps, report
+    for caps, gens, sigma in cap_grid(graph, cap_max, node_budget):
+        if sigma is None:
+            report = check_strong_exchange(gens)
+            if not report.ok:
+                return caps, report
     return None

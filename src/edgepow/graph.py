@@ -34,6 +34,14 @@ MAX_FAMILY_SIZE = 200_000  # vertices or edges of a family graph or graph file
 MAX_GRAPH_FILE_BYTES = 80 * MAX_FAMILY_SIZE
 
 
+def check_vertices(n: int) -> None:
+    """Refuse a graph on more vertices than the engine enumerates."""
+    if n > MAX_SEARCH_VERTICES:
+        raise ValueError(
+            f"enumeration is limited to {MAX_SEARCH_VERTICES} vertices, got {n}"
+        )
+
+
 class GraphError(ValueError):
     """Invalid graph data, or an operation that would break graph invariants."""
 
@@ -433,8 +441,10 @@ def automorphisms(g: Graph) -> tuple:
     search completes, level i holds an automorphism to each vertex of i's
     orbit under the stabiliser of 1..i - 1, so the result generates
     Aut(g).  A search past ``_AUTOMORPHISM_STEPS`` candidates skips its
-    target, which leaves a subset.
+    target, which leaves a subset.  A graph on more vertices than the
+    engine enumerates (``check_vertices``) is refused before any work.
     """
+    check_vertices(g.n)
     return _automorphisms(g, _colours(g))
 
 

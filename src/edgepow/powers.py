@@ -50,7 +50,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import MAX_SEARCH_VERTICES, Graph
+from .graph import Graph, check_vertices
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 MAX_CAP = 1 << 15
@@ -60,14 +60,6 @@ _ONES = (1 << _BITS) - 1
 
 class BudgetError(RuntimeError):
     """A configured work budget was exhausted before the search finished."""
-
-
-def check_vertices(n: int) -> None:
-    """Refuse a graph on more vertices than the engine enumerates."""
-    if n > MAX_SEARCH_VERTICES:
-        raise ValueError(
-            f"enumeration is limited to {MAX_SEARCH_VERTICES} vertices, got {n}"
-        )
 
 
 def _as_vector(g: Graph, vec, kind: str, name: str, low: int) -> tuple:

@@ -28,9 +28,26 @@ multiset only for a failure witness.  ``fibers`` unpacks every group into
 the public ``Fiber`` form.
 
 ``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
-the walk the strong-exchange counterexample search shares, with its bounds,
-but visits every cell where the search visits one per automorphism orbit;
+the walk the strong-exchange counterexample search shares, with its bounds;
 ``check_unicyclic_scan`` holds every bound of a scan of the unicyclic corpus.
+The scan checks the cells that the orbit filter keeps and replays each other
+cell c from its earlier image c o sigma, so its counts, its ``on_instance``
+stream and its report are those of checking every cell.  The replay is
+exact: w -> w' with w'[sigma[j]] = w[j] maps W(c o sigma) onto W(c)
+(``exchange``), and this coordinate permutation
+
+* keeps the strong verdict, which does not depend on coordinate order;
+* keeps |W|, the only input of the fiber budget test besides m;
+* maps a symmetric exchange of u, v at (xi, rho) to one of u', v' at
+  (sigma[xi], sigma[rho]), so the quadrics of one set onto the other's;
+* maps products of members to products of their images, so each degree-m
+  fiber onto a fiber of the same size and each quadric move onto a move:
+  the fiber and non-trivial counts and each fiber's connectivity hold, and
+  so does the degree at which the check stops.
+
+A failure witness names members by their index in the largest-first order,
+which the permutation does not keep, so a violating cell gets its W as the
+image of its earlier cell's members and the check runs again on that.
 """
 from __future__ import annotations
 
@@ -391,10 +408,11 @@ def conjecture_scan(
 
     A graph whose grid ``cap_grid`` refuses raises before any of its
     instances, and an engine that exhausts ``node_budget`` raises
-    BudgetError.  Fiber budget overruns are recorded per instance and the
-    scan continues.  The returned report lists every disconnected fiber
-    found; a clean report certifies generation by the exchange quadrics
-    through degree m_max on the swept instances.
+    BudgetError; the budget charges only the cells the engine computes,
+    about one per orbit (module docstring).  Fiber budget overruns are recorded per
+    instance and the scan continues.  The returned report lists every
+    disconnected fiber found; a clean report certifies generation by the
+    exchange quadrics through degree m_max on the swept instances.
     """
     check_cap_max(cap_max)
     check_m_max(m_max)
@@ -403,25 +421,50 @@ def conjecture_scan(
     violations = []
     skips = []
     for gi, g in enumerate(graphs):
-        for _, gens in cap_grid(g, cap_max, node_budget, one_per_orbit=False):
-            if check_strong_exchange(gens).ok:
+        seen = {}
+        for caps, gens, sigma in cap_grid(g, cap_max, node_budget):
+            if sigma is None:
+                strong, size = check_strong_exchange(gens).ok, len(gens)
+                report = _fiber_report(gens, m_max, fiber_budget)
+            else:
+                strong, size, report, image = seen[tuple(map(caps.__getitem__, sigma))]
+                if report is not None and not report.ok:
+                    gens = _relabelled(image, caps, sigma)
+                    report = _fiber_report(gens, m_max, fiber_budget)
+            failed = report is not None and not report.ok
+            seen[caps] = strong, size, report, gens if failed else None
+            if strong:
                 strong_pass += 1
             else:
                 strong_fail += 1
-            try:
-                report = check_fiber_connectivity(gens, m_max, fiber_budget)
-            except BudgetError:
+            if report is None:
                 kept, status, failure = skips, "budget", None
             else:
                 if on_instance is not None:
-                    on_instance(gi, gens.caps, report)
-                if report.ok:
+                    on_instance(gi, caps, report)
+                if not failed:
                     continue
                 kept, status, failure = violations, "violation", report.failure
-            kept.append(
-                ScanInstance(gi, g.n, g.sorted_edges, gens.caps, len(gens), status, failure)
-            )
+            kept.append(ScanInstance(gi, g.n, g.sorted_edges, caps, size, status, failure))
     instances = strong_pass + strong_fail
     return ScanReport(
         cap_max, m_max, instances, tuple(violations), tuple(skips), strong_pass, strong_fail
     )
+
+
+def _fiber_report(gens, m_max: int, budget: int):
+    """``check_fiber_connectivity``, or None when it exceeds the fiber budget."""
+    try:
+        return check_fiber_connectivity(gens, m_max, budget)
+    except BudgetError:
+        return None
+
+
+def _relabelled(image: GeneratorSet, caps: tuple, sigma: tuple) -> GeneratorSet:
+    """W(caps) from W(caps o sigma): each member w becomes w' with
+    w'[sigma[j]] = w[j] (module docstring), with no engine."""
+    inverse = [0] * len(sigma)
+    for j, x in enumerate(sigma):
+        inverse[x] = j
+    members = frozenset(tuple(map(w.__getitem__, inverse)) for w in image.members)
+    return GeneratorSet(image.graph, caps, image.delta, members)

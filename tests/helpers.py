@@ -20,6 +20,7 @@ from edgepow import (
     fixtures,
     graph_from_edges,
     induced_subgraph,
+    toric,
 )
 from edgepow.corpus import find_isomorphism
 from edgepow.exchange import (
@@ -38,6 +39,8 @@ from edgepow.toric import (
     ConnectivityReport,
     Fiber,
     FiberCheck,
+    ScanInstance,
+    ScanReport,
     _ordered_members,
 )
 
@@ -311,6 +314,61 @@ def reference_cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NO
             continue
         seen.add(norm)
         yield caps, engine.generators(norm)
+
+
+def full_cap_grid(graph: Graph, cap_max: int, engine: PowerEngine | None = None):
+    """Yield (caps, generator set) for every cell that ``exchange.cap_grid``
+    walks, the ones it replays from an automorphism included: each grid
+    vector with no cap above its neighbours' sum, in ascending lex order,
+    all computed on one engine (a fresh one unless ``engine`` is given)."""
+    check_grid(graph.n, cap_max)
+    engine = engine or PowerEngine(graph)
+    nbrs = [[w - 1 for w in ws] for ws in graph.adjacency]
+    for caps in product(range(1, cap_max + 1), repeat=graph.n):
+        if all(caps[v] <= sum(caps[w] for w in ws) for v, ws in enumerate(nbrs)):
+            yield caps, engine.generators(caps)
+
+
+def reference_conjecture_scan(
+    graphs,
+    cap_max: int = 2,
+    m_max: int = 3,
+    fiber_budget: int = DEFAULT_FIBER_BUDGET,
+    on_instance=None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> ScanReport:
+    """``toric.conjecture_scan`` with every cell computed: its engine, strong
+    check and fiber check, none replayed from an automorphism."""
+    strong_pass = strong_fail = 0
+    violations, skips = [], []
+    for gi, g in enumerate(graphs):
+        for caps, gens in full_cap_grid(g, cap_max, PowerEngine(g, node_budget)):
+            if check_strong_exchange(gens).ok:
+                strong_pass += 1
+            else:
+                strong_fail += 1
+            try:
+                report = toric.check_fiber_connectivity(gens, m_max, fiber_budget)
+            except BudgetError:
+                kept, status, failure = skips, "budget", None
+            else:
+                if on_instance is not None:
+                    on_instance(gi, caps, report)
+                if report.ok:
+                    continue
+                kept, status, failure = violations, "violation", report.failure
+            kept.append(
+                ScanInstance(gi, g.n, g.sorted_edges, caps, len(gens), status, failure)
+            )
+    return ScanReport(
+        cap_max,
+        m_max,
+        strong_pass + strong_fail,
+        tuple(violations),
+        tuple(skips),
+        strong_pass,
+        strong_fail,
+    )
 
 
 def brute_force_oracle(g: Graph, caps):

@@ -32,6 +32,7 @@ from helpers import (
     SubmodularFunction,
     coverage_function,
     enumerate_polymatroid_base,
+    full_cap_grid,
     random_caps,
     random_connected_graph,
     random_coverage_function,
@@ -211,7 +212,7 @@ def test_hhv_equivalence_sample():
 def test_detect_veronese_count_matches_expansion():
     # counting the candidate slice decides what listing it decides
     rng = random.Random(53)
-    sets = [w for g in trees_up_to(7) + unicyclic_up_to(6) for _, w in cap_grid(g, 2)]
+    sets = [w for g in trees_up_to(7) + unicyclic_up_to(6) for _, w in full_cap_grid(g, 2)]
     sets += [enumerate_generators(g, caps) for g, caps in fixtures.failing_instances()]
     sets += [random_member_set(rng) for _ in range(400)]
     # mixed degrees: the slice of (2, 0)'s degree has two points, so a bare
@@ -227,8 +228,8 @@ def test_strong_check_matches_reference_loop_over_grids():
     # check_strong_exchange passes a set of over 3 members that fills its
     # slice without the swap loop; the full loop must still agree, witness
     # included
-    sets = [w for g in trees_up_to(8) for _, w in cap_grid(g, 2)]
-    sets += [w for g in unicyclic_up_to(6) for _, w in cap_grid(g, 3)]
+    sets = [w for g in trees_up_to(8) for _, w in full_cap_grid(g, 2)]
+    sets += [w for g in unicyclic_up_to(6) for _, w in full_cap_grid(g, 3)]
     sets += [
         enumerate_generators(fixtures.graph_of(f), f.caps) for f in fixtures.REGISTRY
     ]
@@ -326,7 +327,9 @@ def test_import_loads_no_process_pool():
 
 def test_cap_grid_matches_the_normalising_walk():
     # every normal form's first grid vector is its own fixed point, so the
-    # fixed-point test yields what normalising each vector and deduplicating did
+    # fixed-point test yields what normalising each vector and deduplicating
+    # did; the engine computes the cells that carry no automorphism, and
+    # every other one names an earlier cell of its orbit
     cases = [
         (g, cap_max)
         for g in trees_up_to(8) + unicyclic_up_to(7)
@@ -335,14 +338,16 @@ def test_cap_grid_matches_the_normalising_walk():
     ]
     cases += [(from_spec(s), 4) for s in ("star:6", "multipartite:2,2,2", "multipartite:3,3")]
     for g, cap_max in cases:
-        walked = []
-        for caps, gens in cap_grid(g, cap_max):
-            assert gens.caps == caps
-            walked.append((caps, gens.delta, gens.members))
-        reference = [
-            (caps, gens.delta, gens.members) for caps, gens in reference_cap_grid(g, cap_max)
-        ]
-        assert walked == reference, (g, cap_max)
+        walked = list(cap_grid(g, cap_max))
+        reference = list(reference_cap_grid(g, cap_max))
+        assert [c for c, _, _ in walked] == [c for c, _ in reference], (g, cap_max)
+        earlier = set()
+        for (caps, gens, sigma), (_, ref) in zip(walked, reference):
+            if sigma is None:
+                assert (gens.caps, gens.delta, gens.members) == (caps, ref.delta, ref.members)
+            else:
+                assert gens is None and tuple(caps[x] for x in sigma) in earlier
+            earlier.add(caps)
 
 
 def _engines(monkeypatch):
@@ -360,9 +365,9 @@ def _engines(monkeypatch):
 
 
 def _full_walk(g, cap_max):
-    """The first failure of the scan's walk (every cell), as the search
+    """The first failure over every cell of the grid walk, as the search
     reports it, or None."""
-    for caps, gens in cap_grid(g, cap_max, one_per_orbit=False):
+    for caps, gens in full_cap_grid(g, cap_max):
         report = check_strong_exchange(gens)
         if not report.ok:
             return caps, report.to_json()

@@ -415,6 +415,19 @@ def test_asymmetric_graph_has_no_automorphism():
         assert automorphisms(g) == ()
 
 
+def test_automorphisms_refuse_what_the_engine_refuses(monkeypatch):
+    assert automorphisms(path(32)) == (tuple(range(32, 0, -1)),)
+
+    def refuse(*args):
+        raise AssertionError("colours or automorphisms computed")
+
+    monkeypatch.setattr(graph_mod, "_colours", refuse)
+    monkeypatch.setattr(graph_mod, "_automorphisms", refuse)
+    for g in (path(33), star(100)):
+        with pytest.raises(ValueError, match=f"^enumeration is limited to 32 vertices, got {g.n}$"):
+            automorphisms(g)
+
+
 def test_automorphism_step_bound_leaves_a_subset(monkeypatch):
     g = from_spec("multipartite:3,3,3")
     full = set(automorphisms(g))

@@ -22,12 +22,12 @@ from edgepow import (
     star,
     template,
 )
-from edgepow import exchange
 from edgepow.corpus import trees_up_to, unicyclic_up_to
 from edgepow.powers import MAX_CAP
 from helpers import (
     ORACLE_CAP_SUM,
     brute_force_oracle,
+    full_cap_grid,
     random_caps,
     random_connected_graph,
     reference_decompose,
@@ -423,24 +423,19 @@ def test_format_monomial():
     assert format_monomial((0, 0)) == "1"
 
 
-def test_shared_engine_matches_multiset_walk_over_cap_grids(monkeypatch):
-    # cap_grid walks one engine over a graph's whole grid, so tight states
-    # (2 * best == sum(res), whose only product is res itself) memoized under
-    # one cap vector are reused under later ones.  The multiset walk costs
-    # up to 0.24 s a cell on the dense grids, so there it checks every 8th.
+def test_shared_engine_matches_multiset_walk_over_cap_grids():
+    # one engine walks every fixed-point cell of a graph's grid, so tight
+    # states (2 * best == sum(res), whose only product is res itself)
+    # memoized under one cap vector are reused under later ones.  The
+    # multiset walk costs up to 0.24 s a cell on the dense grids, so there
+    # it checks every 8th.
     engines = []
-
-    class Recorded(PowerEngine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            engines.append(self)
-
-    monkeypatch.setattr(exchange, "PowerEngine", Recorded)
     graphs = [(from_spec(s), 2, 8) for s in ("multipartite:2,2,2,2", "multipartite:3,3,3")]
     graphs += [(g, 3, 1) for g in trees_up_to(7) + unicyclic_up_to(6)]
     cells = 0
     for g, cap_max, stride in graphs:
-        for k, (caps, w) in enumerate(exchange.cap_grid(g, cap_max)):
+        engines.append(PowerEngine(g))
+        for k, (caps, w) in enumerate(full_cap_grid(g, cap_max, engines[-1])):
             if k % stride == 0:
                 ref = reference_generators(g, caps)
                 assert (w.delta, w.members) == (ref.delta, ref.members), (g.edges, caps)
@@ -450,4 +445,4 @@ def test_shared_engine_matches_multiset_walk_over_cap_grids(monkeypatch):
         for e in engines
         for (_, res), got in e._tops_memo.items()
     )
-    assert (len(engines), cells, tight) == (len(graphs), 14050, 5454)
+    assert (cells, tight) == (14050, 5454)

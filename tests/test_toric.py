@@ -19,13 +19,16 @@ from edgepow import (
     template,
 )
 from edgepow import corpus, toric
+from edgepow.exchange import cap_grid
 from edgepow.powers import MAX_CAP
 from helpers import (
     random_caps,
     random_connected_graph,
     random_member_set,
     random_wide_member_set,
+    full_cap_grid,
     reference_binomials,
+    reference_conjecture_scan,
     reference_fiber_connectivity,
     reference_fibers,
 )
@@ -302,20 +305,120 @@ def test_conjecture_scan_honours_the_node_budget():
 
 def test_search_and_scan_walk_the_same_normal_forms(monkeypatch):
     calls = _record_generators(monkeypatch, lambda engine, caps: caps)
-    # a clean grid, so the search walks one cell of every orbit in it
+    # a clean grid, so the search checks one cell of every orbit in it
     assert search_sep_counterexample(cycle(5), 3) is None
     searched = list(calls)
     calls.clear()
-    report = conjecture_scan([cycle(5)], cap_max=3)
-    assert report.instances == len(calls) == len(set(calls)) > len(searched) > 1
-    # the search's cells are an ordered subsequence of the scan's
-    at = iter(calls)
+    streamed = []
+    report = conjecture_scan(
+        [cycle(5)], cap_max=3, on_instance=lambda gi, caps, rep: streamed.append(caps)
+    )
+    # the scan computes the search's cells and replays the other 170
+    assert calls == searched and len(calls) == 33
+    assert report.instances == len(streamed) == len(set(streamed)) == 203
+    # the computed cells are an ordered subsequence of the streamed ones
+    at = iter(streamed)
     assert all(caps in at for caps in searched)
-    # and meet the orbit of every scan cell under the dihedral group of C5
+    # and meet the orbit of every streamed cell under the dihedral group of C5
     shifts = [[(v + k) % 5 for v in range(5)] for k in range(5)]
     group = shifts + [[(k - v) % 5 for v in range(5)] for k in range(5)]
-    for caps in calls:
+    for caps in streamed:
         assert {tuple(caps[p] for p in perm) for perm in group} & set(searched), caps
+
+
+def test_replayed_cells_match_their_earlier_image():
+    # the toric docstring: a cell that carries an automorphism sigma has the
+    # members of caps o sigma, moved by w'[sigma[j]] = w[j], and the same
+    # strong verdict and fiber report
+    cases = [(g, 2) for g in corpus.trees_up_to(8) + corpus.unicyclic_up_to(7)]
+    cases += [(g, 3) for g in corpus.unicyclic_up_to(6)]
+    replayed = {2: 0, 3: 0}
+    for g, cap_max in cases:
+        full, checked = {}, {}
+        for (caps, gens, sigma), (same, w) in zip(
+            cap_grid(g, cap_max), full_cap_grid(g, cap_max), strict=True
+        ):
+            assert same == caps
+            full[caps] = w
+            if sigma is None:
+                continue
+            earlier = tuple(caps[x] for x in sigma)
+            image = full[earlier]
+            moved = set()
+            for u in image.members:
+                out = [0] * g.n
+                for j, x in enumerate(sigma):
+                    out[x] = u[j]
+                moved.add(tuple(out))
+            assert (w.delta, w.members) == (image.delta, moved), (g.edges, caps)
+            if earlier not in checked:
+                checked[earlier] = _checks(image)
+            assert _checks(w) == checked[earlier], (g.edges, caps)
+            replayed[cap_max] += 1
+    assert replayed == {2: 2615, 3: 2722}
+
+
+def _checks(w):
+    return check_strong_exchange(w).ok, check_fiber_connectivity(w).to_json()
+
+
+def _scans(graphs, **kw):
+    """(on_instance stream, report JSON) of the scan and of the reference
+    scan that computes every cell."""
+    out = []
+    for scan in (conjecture_scan, reference_conjecture_scan):
+        stream = []
+        report = scan(
+            graphs,
+            on_instance=lambda gi, caps, rep: stream.append((gi, caps, rep.to_json())),
+            **kw,
+        )
+        out.append((stream, report.to_json()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "graphs,cap_max,fiber_budget",
+    [
+        (corpus.unicyclic_up_to(6), 2, toric.DEFAULT_FIBER_BUDGET),
+        (corpus.unicyclic_up_to(6), 3, toric.DEFAULT_FIBER_BUDGET),
+        ([template("c3pathpend")], 2, 10),
+    ],
+    ids=["unicyclic6-cap2", "unicyclic6-cap3", "c3pathpend-budget"],
+)
+def test_scan_matches_the_reference_scan(graphs, cap_max, fiber_budget):
+    got, want = _scans(graphs, cap_max=cap_max, fiber_budget=fiber_budget)
+    assert got == want and got[0]
+    assert bool(got[1]["budget_skips"]) == (fiber_budget == 10)
+
+
+def test_scan_replays_a_violation_with_its_own_witness(monkeypatch):
+    # a check that fails on every even |W| (a rule the permutation keeps),
+    # with a witness read off the cell's own ordered members
+    original = toric.check_fiber_connectivity
+
+    def forced(w, m_max=3, budget=toric.DEFAULT_FIBER_BUDGET):
+        report = original(w, m_max, budget)
+        ws = w.ordered
+        if len(ws) % 2:
+            return report
+        failure = (2, tuple(2 * a for a in ws[-1]), (1, 1), (len(ws), len(ws)))
+        return toric.ConnectivityReport(False, m_max, report.degrees, 0, failure)
+
+    monkeypatch.setattr(toric, "check_fiber_connectivity", forced)
+    graphs = corpus.unicyclic_up_to(6)
+    got, want = _scans(graphs, cap_max=2)
+    assert got == want
+    # some replayed violations name another witness than their earlier image
+    failure = {(v["graph"], tuple(v["caps"])): v["failure"] for v in got[1]["violations"]}
+    moved = [
+        (gi, caps)
+        for gi, g in enumerate(graphs)
+        for caps, _, sigma in cap_grid(g, 2)
+        if (gi, caps) in failure and sigma is not None
+        and failure[gi, caps] != failure[gi, tuple(caps[x] for x in sigma)]
+    ]
+    assert len(moved) > 1
 
 
 def test_scan_report_json():
