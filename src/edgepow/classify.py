@@ -13,12 +13,20 @@ tags:
   unicyclic(ii): cycle length 5..7, decided by independence number <= 3
   (exact at any size, a fold over the peel order);
   unicyclic(iii)(1|2|3): cycle length 4 templates;
-  unicyclic(iv)(1|2|3): cycle length 3 templates; (none) otherwise.
+  unicyclic(iv)(1|2|3): cycle length 3 templates; (none) otherwise, and
+  whenever a branch off the cycle forks.  The templates are tests on the
+  legged cycle vertices and the sorted shape of their leg profiles.
 
 The structure behind these rules is one ``structure_probe``, so one leaf
 peel: it tells trees and unicyclic graphs apart and gives the cycle, and
 the independence number and the legs the templates read are folds over
 its peel order.
+
+Other graphs may be a complete multipartite graph minus a matching
+(multipartite-minus-matching).  Its recogniser is one recursive split of
+the vertices into parts of the complement; it charges the complement's
+n(n - 1) - 2m entries against ``CMM_STEP_LIMIT`` before building it, then
+one step per split call.
 
 ``cross_validate`` confronts a verdict with bounded evidence: a clean cap
 grid for positive verdicts; for negative verdicts a grid counterexample, a
@@ -158,68 +166,47 @@ def classify_unicyclic(g: Graph) -> ClassificationVerdict:
 
 
 def _unicyclic_verdict(g: Graph, probe) -> ClassificationVerdict:
+    """Cycle length >= 8 never, 5..7 by alpha <= 3; lengths 4 and 3 read the
+    legged cycle vertices and the sorted shape of their leg profiles."""
     if not probe.is_unicyclic:
         raise ValueError("classify_unicyclic requires a unicyclic graph")
-    cyc = probe.cycle
     ell = probe.cycle_length
     if ell >= 8:
         return ClassificationVerdict(False, "unicyclic(i)", {"cycle_length": ell})
-    if ell in (5, 6, 7):
+    if ell >= 5:
         alpha = _unicyclic_independence(probe)
         return ClassificationVerdict(
             alpha <= 3,
             "unicyclic(ii)",
             {"cycle_length": ell, "independence_number": alpha},
         )
+    rule = "unicyclic(iii)" if ell == 4 else "unicyclic(iv)"
     profiles = _leg_profiles(probe)
+    if None in profiles:  # a branch that forks
+        return ClassificationVerdict(False, rule + "(none)", {})
+    # the cycle vertex carrying each nonempty profile, read where it is unique
+    legged = {p: v for v, p in zip(probe.cycle, profiles) if p}
+    shape = sorted(p for p in profiles if p)
     if ell == 4:
-        if any(p is None for p in profiles):
-            return ClassificationVerdict(False, "unicyclic(iii)(none)", {})
-        if all(p in ((), (1,)) for p in profiles):
+        if set(shape) <= {(1,)}:
+            return ClassificationVerdict(True, rule + "(1)", {"pendants": len(shape)})
+        # a 2-path and a pendant at opposite, so non-adjacent, cycle vertices
+        if shape == [(1,), (2,)] and not g.has_edge(legged[(1,)], legged[(2,)]):
+            detail = {"path_at": legged[(2,)], "pendant_at": legged[(1,)]}
+            return ClassificationVerdict(True, rule + "(2)", detail)
+        if shape == [(2,)]:
+            return ClassificationVerdict(True, rule + "(3)", {"path_at": legged[(2,)]})
+    else:
+        if set(shape) <= {(1,), (2,)}:
             return ClassificationVerdict(
-                True, "unicyclic(iii)(1)", {"pendants": profiles.count((1,))}
+                True, rule + "(1)", {"legs": [list(p) for p in profiles]}
             )
-        for i in range(4):
-            opposite = (i + 2) % 4
-            others = [k for k in range(4) if k not in (i, opposite)]
-            if (
-                profiles[i] == (2,)
-                and profiles[opposite] == (1,)
-                and all(profiles[k] == () for k in others)
-            ):
-                return ClassificationVerdict(
-                    True,
-                    "unicyclic(iii)(2)",
-                    {"path_at": cyc[i], "pendant_at": cyc[opposite]},
-                )
-        if profiles.count((2,)) == 1 and profiles.count(()) == 3:
-            at = cyc[profiles.index((2,))]
-            return ClassificationVerdict(True, "unicyclic(iii)(3)", {"path_at": at})
-        return ClassificationVerdict(False, "unicyclic(iii)(none)", {})
-    # ell == 3
-    if all(p is not None and p in ((), (1,), (2,)) for p in profiles):
-        return ClassificationVerdict(
-            True, "unicyclic(iv)(1)", {"legs": [list(p) for p in profiles]}
-        )
-    if (
-        sum(1 for p in profiles if p == (3,)) == 1
-        and sum(1 for p in profiles if p == ()) == 2
-    ):
-        at = cyc[profiles.index((3,))]
-        return ClassificationVerdict(True, "unicyclic(iv)(2)", {"path_at": at})
-    for i in range(3):
-        others = [k for k in range(3) if k != i]
-        p = profiles[i]
-        if (
-            p is not None
-            and p
-            and all(length <= 2 for length in p)
-            and all(profiles[k] == () for k in others)
-        ):
-            return ClassificationVerdict(
-                True, "unicyclic(iv)(3)", {"broom_at": cyc[i], "legs": list(p)}
-            )
-    return ClassificationVerdict(False, "unicyclic(iv)(none)", {})
+        if shape == [(3,)]:
+            return ClassificationVerdict(True, rule + "(2)", {"path_at": legged[(3,)]})
+        if len(shape) == 1 and max(shape[0]) <= 2:
+            detail = {"broom_at": legged[shape[0]], "legs": list(shape[0])}
+            return ClassificationVerdict(True, rule + "(3)", detail)
+    return ClassificationVerdict(False, rule + "(none)", {})
 
 
 def classify_graph(g: Graph) -> ClassificationVerdict:
@@ -251,12 +238,14 @@ def classify_complete_multipartite_minus_matching(g: Graph):
 
     Works in the complement: the complement of such a graph is a disjoint
     union of cliques (the parts) plus a matching between different parts.
-    Each vertex's part is then its closed complement-neighborhood minus at
-    most one matched partner; a backtracking assignment over that choice
-    decides recognizability.  Returns a positive verdict with the parts and
-    matching, or None.  Each complement entry and each backtracking step
-    costs one step of ``CMM_STEP_LIMIT``; the entries are charged before
-    the complement is built.
+    ``split`` covers the least vertex u not yet in a part with the block
+    ({u} | comp[u]) - {partner}, for partner None and then each complement
+    neighbour in ascending order; a block is valid when it is a clique of
+    uncovered vertices, each with at most one complement neighbour outside
+    it.  Returns a positive verdict with the parts and matching, or None.
+    The n(n - 1) - 2m complement entries are charged against
+    ``CMM_STEP_LIMIT`` before the complement is built, then one step per
+    ``split`` call.
     """
     n = g.n
     steps = 0
@@ -270,56 +259,30 @@ def classify_complete_multipartite_minus_matching(g: Graph):
             )
 
     charge(n * (n - 1) - 2 * len(g.edges))
-    comp = [
-        frozenset(
-            w for w in range(1, n + 1) if w != v and not g.has_edge(v, w)
-        )
-        for v in range(1, n + 1)
-    ]
-    part_of = {}
-    parts = []
+    every = frozenset(range(1, n + 1))
+    comp = {v: every - g.adjacency[v - 1] - {v} for v in every}
 
-    def bt():
+    def split(parts, done):
         charge(1)
-        rest = [v for v in range(1, n + 1) if v not in part_of]
-        if not rest:
-            return True
-        u = rest[0]
-        candidates = [None] + sorted(comp[u - 1])
-        for partner in candidates:
-            block = {u} | set(comp[u - 1])
-            if partner is not None:
-                block.discard(partner)
-            if any(v in part_of for v in block):
+        if done == every:
+            return parts
+        u = min(every - done)
+        for partner in [None] + sorted(comp[u]):
+            block = ({u} | comp[u]) - {partner}
+            if any(
+                v in done or len(comp[v] - block) > 1 or not block - {v} <= comp[v]
+                for v in block
+            ):
                 continue
-            ok = True
-            for v in block:
-                outside = comp[v - 1] - (block - {v})
-                if len(outside) > 1 or not block - {v} <= comp[v - 1]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for v in block:
-                part_of[v] = len(parts)
-            parts.append(frozenset(block))
-            if bt():
-                return True
-            parts.pop()
-            for v in block:
-                del part_of[v]
-        return False
-
-    if not bt():
+            found = split(parts + [block], done | block)
+            if found is not None:
+                return found
         return None
-    matching = sorted(
-        {
-            tuple(sorted((v, w)))
-            for v in range(1, n + 1)
-            for w in comp[v - 1]
-            if part_of[v] != part_of[w]
-        }
-    )
+
+    parts = split([], frozenset())
+    if parts is None:
+        return None
+    matching = sorted((v, w) for p in parts for v in p for w in comp[v] - p if v < w)
     return ClassificationVerdict(
         True,
         "multipartite-minus-matching",

@@ -6,8 +6,9 @@ isolated vertices are rejected.  The module provides the standard families
 used by the rest of the package (cycles, paths, stars, whiskered stars,
 complete multipartite graphs minus a matching, a table of named small
 graphs), a structure probe (tree/unicyclic detection with the unique
-cycle), an automorphism finder for the counterexample search, and induced
-subgraphs with explicit renumbering maps.
+cycle), an automorphism finder for the cap-grid walk (the counterexample
+search and the conjecture scan), and induced subgraphs with explicit
+renumbering maps.
 
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion), and ``structure_probe`` is one call of it: a tree peels down to

@@ -446,6 +446,28 @@ def independence_number(g: Graph) -> int:
     return best
 
 
+def is_multipartite_minus_matching(g: Graph) -> bool:
+    """Whether g is K_{n1,...,nm} minus a matching, by brute force over the
+    matchings M of the complement H: H - M must be a disjoint union of
+    cliques (adjacent vertices have equal closed neighbourhoods) with every
+    edge of M between two of them."""
+    comp = [e for e in combinations(range(1, g.n + 1), 2) if not g.has_edge(*e)]
+    for size in range(g.n // 2 + 1):
+        for removed in combinations(comp, size):
+            if len({v for e in removed for v in e}) < 2 * size:
+                continue
+            kept = [e for e in comp if e not in removed]
+            closed = {v: {v} for v in range(1, g.n + 1)}
+            for u, v in kept:
+                closed[u].add(v)
+                closed[v].add(u)
+            if all(closed[u] == closed[v] for u, v in kept) and all(
+                v not in closed[u] for u, v in removed
+            ):
+                return True
+    return False
+
+
 def delete_vertex(g: Graph, v: int) -> tuple:
     """Remove vertex ``v``; returns ``(graph, mapping)`` with old->new labels."""
     g._check_vertex(v)

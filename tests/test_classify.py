@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -15,6 +16,7 @@ from edgepow import (
     complete_multipartite,
     cross_validate,
     cycle,
+    GraphError,
     graph_from_edges,
     path,
     star,
@@ -30,6 +32,7 @@ from edgepow.powers import PowerEngine
 from helpers import (
     independence_number,
     is_isomorphic,
+    is_multipartite_minus_matching,
     is_triangle_free,
     random_connected_graph,
     reference_leg_profile,
@@ -413,6 +416,92 @@ def test_cmm_charges_the_complement_before_building_it():
     ):
         classify_graph(g)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "g,steps,parts,matching",
+    [
+        # 6 complement entries, then split calls at done = {}, {1,2}, {1..4}, {1..6}
+        pytest.param(
+            complete_multipartite((2, 2, 2)), 6 + 4, [[1, 2], [3, 4], [5, 6]], [], id="k222"
+        ),
+        # the complement of the path 1-2-3-4 plus the triangle 4,5,6: 12 entries,
+        # and 5 calls, since the block {1,2} fails at the call that tries 3
+        pytest.param(
+            graph_from_edges(
+                6, [(1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6)]
+            ),
+            12 + 5,
+            [[1], [2, 3], [4, 5, 6]],
+            [[1, 2], [3, 4]],
+            id="backtracks",
+        ),
+    ],
+)
+def test_cmm_charges_one_step_per_split_call(monkeypatch, g, steps, parts, matching):
+    import edgepow.classify as classify_mod
+    from edgepow import BudgetError
+
+    monkeypatch.setattr(classify_mod, "CMM_STEP_LIMIT", steps - 1)
+    with pytest.raises(
+        BudgetError, match=rf"^complete-multipartite recognition exceeded {steps - 1} steps$"
+    ):
+        classify_complete_multipartite_minus_matching(g)
+    monkeypatch.setattr(classify_mod, "CMM_STEP_LIMIT", steps)
+    verdict = classify_complete_multipartite_minus_matching(g)
+    assert verdict.detail == {"parts": parts, "matching": matching}
+
+
+def test_cmm_verdicts_are_pinned():
+    # every complete multipartite graph with 2-4 parts of sizes 1-3, three
+    # seeded matchings removed from each (as built and relabelled), and
+    # seeded dense random graphs that are not CMM
+    rng = random.Random(41)
+    graphs = []
+    for k in (2, 3, 4):
+        for sizes in combinations_with_replacement((1, 2, 3), k):
+            g = complete_multipartite(sizes)
+            graphs.append(g)
+            for _ in range(3):
+                edges = list(g.sorted_edges)
+                rng.shuffle(edges)
+                matching, used = [], set()
+                for u, v in edges[: rng.randint(1, len(edges))]:
+                    if u not in used and v not in used:
+                        matching.append((u, v))
+                        used |= {u, v}
+                try:
+                    h = complete_multipartite(sizes, matching)
+                except GraphError:  # a vertex lost its last edge
+                    continue
+                graphs += [h, shuffled(rng, h)]
+    positives = len(graphs)
+    negatives = 0
+    while negatives < 150:
+        n = rng.randint(4, 9)
+        edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.75]
+        try:
+            g = graph_from_edges(n, edges)
+        except GraphError:
+            continue
+        if not is_multipartite_minus_matching(g):
+            graphs.append(g)
+            negatives += 1
+    verdicts = [classify_complete_multipartite_minus_matching(g) for g in graphs]
+    assert [v is not None for v in verdicts] == [True] * positives + [False] * negatives
+    assert positives == 199
+    rows = [v.to_json() if v else None for v in verdicts]
+    assert hashlib.sha1(json.dumps(rows).encode()).hexdigest()[:12] == "76ecf66d3604"
+
+
+def test_unicyclic_verdicts_are_pinned_under_relabelling():
+    # the template details name cycle vertices, so the labels matter
+    rng = random.Random(43)
+    graphs = corpus.unicyclic_up_to(9)
+    assert len(graphs) == 383
+    graphs = [h for g in graphs for h in (g, shuffled(rng, g), shuffled(rng, g))]
+    rows = [classify_unicyclic(g).to_json() for g in graphs]
+    assert hashlib.sha1(json.dumps(rows).encode()).hexdigest()[:12] == "f513c0f8e253"
 
 
 # --- cross validation
