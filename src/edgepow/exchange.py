@@ -40,9 +40,10 @@ keeps the generator set) without normalising any vector, by this lemma:
 Both consumers need the engine on one cap vector per orbit of the graph's
 automorphisms (lex-leader symmetry breaking: Crawford, Ginsberg, Luks and
 Roy, KR 1996).  ``cap_grid`` still yields every fixed-point cell, but the
-engine computes only those that no automorphism from
-``graph.automorphisms`` maps to a lex-smaller vector; any other cell comes
-with the automorphism sigma that maps it to the earlier cell caps o sigma.
+engine computes only those that the test ``graph.lex_leader`` keeps: no
+automorphism from ``graph.automorphisms`` maps them to a lex-smaller
+vector.  Any other cell comes with the automorphism sigma that maps it to
+the earlier cell caps o sigma.
 The search skips those cells and returns what the full walk returns, by
 this lemma:
 
@@ -55,10 +56,11 @@ this lemma:
   every earlier vector the filter keeps also passes in the full walk, so
   the search returns the same first failure and the same report;
 * a vector whose caps ascend within every class of a colouring that
-  automorphisms keep (``graph._colours``: two refinement rounds from the
-  degrees) is least among all colour-preserving rearrangements, so least
-  in its orbit: such vectors skip the test, and the automorphisms are
-  found at the first vector with an inversion inside a class.
+  automorphisms keep (two refinement rounds from the degrees, in
+  ``graph.lex_leader``) is least among all colour-preserving
+  rearrangements, so least in its orbit: such vectors skip the test, and
+  the automorphisms are found at the first vector with an inversion
+  inside a class.
 
 ``conjecture_scan`` counts and streams every cell, and replays a skipped
 cell from its earlier image (the ``toric`` docstring).
@@ -69,7 +71,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .graph import Graph, _automorphisms, _colours, check_vertices
+from .graph import Graph, check_vertices, lex_leader
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, PowerEngine
 # perfbench/spans.py patches normalize_caps by name here
 from .powers import normalize_caps  # noqa: F401
@@ -307,41 +309,6 @@ def check_grid(n: int, cap_max: int) -> None:
     check_vertices(n)
 
 
-def _lex_leader(graph: Graph):
-    """A test that returns None for a cap vector that no found automorphism
-    maps to a lex-smaller one (module docstring), and else the first
-    automorphism sigma, 0-based, with caps o sigma lex-smaller.  Nothing is
-    computed for the first vector, which is constant; then only consecutive
-    members of a colour class are compared until the automorphisms are
-    needed."""
-    colours = runs = perms = None
-
-    def leader(caps):
-        nonlocal colours, runs, perms
-        if runs is None:
-            if min(caps) == max(caps):
-                return None
-            colours = _colours(graph)
-            last, runs = {}, []
-            for v, c in enumerate(colours):
-                if c in last:
-                    runs.append((last[c], v))
-                last[c] = v
-        for a, b in runs:
-            if caps[a] > caps[b]:
-                break
-        else:
-            return None
-        if perms is None:
-            perms = [tuple(x - 1 for x in s) for s in _automorphisms(graph, colours)]
-            if not perms:
-                runs = ()
-        get = caps.__getitem__
-        return next((p for p in perms if tuple(map(get, p)) < caps), None)
-
-    return leader
-
-
 def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET):
     """Yield (caps, generator set, sigma) for each grid vector of {1..cap_max}^n
     that is its own normal form, in ascending lex order: by the lemma in the
@@ -361,7 +328,7 @@ def cap_grid(graph: Graph, cap_max: int, node_budget: int = DEFAULT_NODE_BUDGET)
         for v, nbrs in enumerate(graph.adjacency)
         if len(nbrs) < cap_max
     ]
-    leader = _lex_leader(graph)
+    leader = lex_leader(graph)
     for caps in product(range(1, cap_max + 1), repeat=graph.n):
         for v, nbrs in low:
             if caps[v] > sum(map(caps.__getitem__, nbrs)):

@@ -2,13 +2,14 @@
 
 Graphs here are immutable values: a vertex count ``n`` and a frozenset of
 edges ``(u, v)`` with ``1 <= u < v <= n``.  Loops, parallel edges and
-isolated vertices are rejected.  The module provides the standard families
-used by the rest of the package (cycles, paths, stars, whiskered stars,
-complete multipartite graphs minus a matching, a table of named small
-graphs), a structure probe (tree/unicyclic detection with the unique
-cycle), an automorphism finder for the cap-grid walk (the counterexample
-search and the conjecture scan), and induced subgraphs with explicit
-renumbering maps.
+isolated vertices are rejected, and so are boolean labels.  The module
+provides the standard families used by the rest of the package (cycles,
+paths, stars, whiskered stars, complete multipartite graphs minus a
+matching, a table of named small graphs), a structure probe
+(tree/unicyclic detection with the unique cycle), induced subgraphs with
+explicit renumbering maps, and graph symmetry for the cap-grid walk (the
+counterexample search and the conjecture scan): ``automorphisms`` and the
+lex-leader test ``lex_leader`` built on them.
 
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion), and ``structure_probe`` is one call of it: a tree peels down to
@@ -43,6 +44,11 @@ def check_vertices(n: int) -> None:
         )
 
 
+def _is_label(x) -> bool:
+    """An int but not a bool, which would write back as ``true``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class GraphError(ValueError):
     """Invalid graph data, or an operation that would break graph invariants."""
 
@@ -62,7 +68,7 @@ class Graph:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise GraphError(f"edge {e!r} is not a pair")
             u, v = e
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_label(u) and _is_label(v)):
                 raise GraphError(f"edge {e!r} has non-integer endpoints")
             if not (1 <= u < v <= self.n):
                 raise GraphError(
@@ -111,7 +117,7 @@ class Graph:
         return (u, v) in self.edges
 
     def _check_vertex(self, v: int):
-        if not (isinstance(v, int) and 1 <= v <= self.n):
+        if not (_is_label(v) and 1 <= v <= self.n):
             raise GraphError(f"vertex {v!r} out of range 1..{self.n}")
 
     def to_json(self) -> dict:
@@ -130,7 +136,7 @@ def graph_from_edges(n: int, edges) -> Graph:
             u, v = e
         except (TypeError, ValueError):
             raise GraphError(f"edges[{pos}]: {e!r} is not a pair") from None
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_label(u) and _is_label(v)):
             raise GraphError(f"edges[{pos}]: non-integer endpoints in {e!r}")
         if u == v:
             raise GraphError(f"edges[{pos}]: loop at vertex {u}")
@@ -453,23 +459,16 @@ def _automorphisms(g: Graph, colours: tuple) -> tuple:
     """``automorphisms(g)`` with ``_colours(g)`` already at hand."""
     colour = (None,) + colours
     nbrs = [()] + [sorted(a) for a in g.adjacency]
-    classes = {}
-    for v in range(1, g.n + 1):
-        classes.setdefault(colour[v], []).append(v)
     order = _bfs_order(nbrs)
     found = []
     for i in range(1, g.n):
-        members = classes[colour[i]]
         fixed = [u for u in nbrs[i] if u < i]
-        free = None
-        for w in members[members.index(i) + 1:]:
-            if fixed != [u for u in nbrs[w] if u < i]:
-                continue
-            if free is None:
-                free = [(v, a) for v, a in order if v > i]
-            sigma = _first_extension(g, nbrs, colour, i, w, free)
-            if sigma is not None:
-                found.append(tuple(sigma[1:]))
+        free = [(v, a) for v, a in order if v > i]
+        for w in range(i + 1, g.n + 1):
+            if colour[w] == colour[i] and fixed == [u for u in nbrs[w] if u < i]:
+                sigma = _first_extension(g, nbrs, colour, i, w, free)
+                if sigma is not None:
+                    found.append(tuple(sigma[1:]))
     return tuple(found)
 
 
@@ -497,37 +496,71 @@ def _first_extension(g, nbrs, colour, i, w, free):
     """The first automorphism fixing 1..i - 1 and mapping i to w, as a list
     with ``sigma[v]`` the image of v, or None: none exists, or the step
     bound ran out.  ``free`` lists the vertices after i in breadth-first
-    order with their anchors, each of which comes earlier or is at most i."""
-    n = g.n
+    order with their anchors, each of which comes earlier or is at most i.
+    ``extend(k)`` matches ``free[k:]``, one level a vertex, so it recurses
+    at most n <= ``MAX_SEARCH_VERTICES`` deep; a step is a candidate of
+    the right colour not yet used."""
     adj = (None,) + g.adjacency
-    sigma = list(range(i)) + [w] + [0] * (n - i)
-    used = [x < i or x == w for x in range(n + 1)]
+    sigma = list(range(i)) + [w] + [0] * (g.n - i)
+    used = [x < i or x == w for x in range(g.n + 1)]
     steps = 0
-    pools = []
-    k = 0
-    while k < len(free):
+
+    def extend(k):
+        nonlocal steps
+        if k == len(free):
+            return True
         v, a = free[k]
-        if len(pools) == k:
-            pool = nbrs[sigma[a]] if a else range(1, n + 1)
-            pools.append(iter([x for x in pool if not used[x] and colour[x] == colour[v]]))
-        else:
-            used[sigma[v]] = False
-            sigma[v] = 0
-        for x in pools[k]:
+        for x in nbrs[sigma[a]] if a else range(1, g.n + 1):
+            if used[x] or colour[x] != colour[v]:
+                continue
             steps += 1
             if steps > _AUTOMORPHISM_STEPS:
-                return None
+                return False
             if all(sigma[u] in adj[x] for u in nbrs[v] if sigma[u]):
-                sigma[v] = x
-                used[x] = True
-                k += 1
+                sigma[v], used[x] = x, True
+                if extend(k + 1):
+                    return True
+                sigma[v], used[x] = 0, False
+        return False
+
+    return sigma if extend(0) else None
+
+
+def lex_leader(g: Graph):
+    """A test that returns None for a cap vector that no found automorphism
+    maps to a lex-smaller one, and else the first automorphism sigma,
+    0-based, with caps o sigma lex-smaller (the ``exchange`` docstring
+    shows why the cap-grid walk may skip such a vector).  Nothing is
+    computed for the first vector, which is constant; a vector whose caps
+    ascend within every colour class (``_colours``) is least in its orbit,
+    so only consecutive members of a class are compared until the
+    automorphisms are needed."""
+    colours = runs = perms = None
+
+    def leader(caps):
+        nonlocal colours, runs, perms
+        if runs is None:
+            if min(caps) == max(caps):
+                return None
+            colours = _colours(g)
+            last, runs = {}, []
+            for v, c in enumerate(colours):
+                if c in last:
+                    runs.append((last[c], v))
+                last[c] = v
+        for a, b in runs:
+            if caps[a] > caps[b]:
                 break
         else:
-            pools.pop()
-            k -= 1
-            if k < 0:
-                return None
-    return sigma
+            return None
+        if perms is None:
+            perms = [tuple(x - 1 for x in s) for s in _automorphisms(g, colours)]
+            if not perms:
+                runs = ()
+        get = caps.__getitem__
+        return next((p for p in perms if tuple(map(get, p)) < caps), None)
+
+    return leader
 
 
 def induced_subgraph(g: Graph, keep) -> tuple:

@@ -109,13 +109,6 @@ class EdgeMultiset:
     def size(self) -> int:
         return sum(m for _, m in self.counts)
 
-    def product(self, n: int) -> tuple:
-        out = [0] * n
-        for (u, v), m in self.counts:
-            out[u - 1] += m
-            out[v - 1] += m
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class GeneratorSet:

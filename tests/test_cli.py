@@ -238,3 +238,8 @@ def test_graph_file_validation_message(capsys, tmp_path):
     p.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 2], [2, 3]]}))
     code, _, err = run(capsys, "delta", str(p), "--caps", "1,1,1")
     assert code == 1 and "edges[1]" in err and "duplicate" in err
+    # true is an int to Python, and it would write back as true
+    p.write_text('{"n": 3, "edges": [[true, 2], [2, 3]]}')
+    code, out, err = run(capsys, "gens", str(p), "--caps", "1,1,1")
+    assert code == 1 and out == ""
+    assert err == "error: edges[0]: non-integer endpoints in [True, 2]\n"

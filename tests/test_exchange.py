@@ -411,8 +411,8 @@ def test_search_finds_no_automorphism_before_an_inversion(monkeypatch):
     def refuse(*args):
         raise AssertionError("colours or automorphisms computed")
 
-    monkeypatch.setattr(exchange, "_colours", refuse)
-    monkeypatch.setattr(exchange, "_automorphisms", refuse)
+    monkeypatch.setattr(graph, "_colours", refuse)
+    monkeypatch.setattr(graph, "_automorphisms", refuse)
     caps, report = search_sep_counterexample(template("c3fork"), 2)
     assert caps == (1,) * 6 and not report.ok
 

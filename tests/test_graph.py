@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from edgepow import (
+    Graph,
     GraphError,
     cycle,
     forked_path,
@@ -321,6 +323,20 @@ def test_json_errors():
         parse_graph_json({"n": "3", "edges": []})
 
 
+
+def test_boolean_vertex_labels_are_refused():
+    # True is an int in Python, and it would write back as true
+    with pytest.raises(GraphError, match=r"^edges\[0\]: non-integer endpoints in \(True, 2\)$"):
+        graph_from_edges(3, [(True, 2), (2, 3)])
+    with pytest.raises(GraphError, match=r"^edges\[1\]: non-integer endpoints in \[2, False\]$"):
+        parse_graph_json({"n": 3, "edges": [[1, 2], [2, False]]})
+    with pytest.raises(GraphError, match=r"^edge \(True, 2\) has non-integer endpoints$"):
+        Graph(3, frozenset({(True, 2), (2, 3)}))
+    with pytest.raises(GraphError, match="^vertex True out of range 1..3$"):
+        path(3).neighbors(True)
+    with pytest.raises(GraphError, match="^vertex True out of range 1..3$"):
+        induced_subgraph(path(3), [True, 2])
+
 def test_isolated_vertex_error_is_bounded():
     # A huge vertex count with one edge names the first few uncovered
     # vertices and the total, not all two million of them.  (A graph file
@@ -434,3 +450,27 @@ def test_automorphism_step_bound_leaves_a_subset(monkeypatch):
     monkeypatch.setattr(graph_mod, "_AUTOMORPHISM_STEPS", 1)
     bounded = automorphisms(g)
     assert set(bounded) < full
+
+
+def test_automorphisms_found_are_pinned(monkeypatch):
+    # sigma decides which cells cap_grid computes and which the scan
+    # replays, so pin which automorphisms are found, not only the group
+    # they generate, at step bounds that cut the searches at every depth
+    named = tuple(from_spec(s) for s in ("multipartite:3,3,3", "star:9", "cycle:30"))
+    trees, unicyclic = corpus.trees_up_to(9), corpus.unicyclic_up_to(8)
+    rng = random.Random(25)
+    relabelled = tuple(
+        shuffled(rng, g) for g in named + trees[-8:] + unicyclic[-8:] for _ in range(2)
+    )
+    graphs = trees + unicyclic + named + relabelled
+    assert len(graphs) == 278
+    for steps, digest in (
+        (1, "db0c87220ca533ecb59c416e07e71ef6d612a87b"),
+        (3, "dd49387392f7945077e7cc5534ac3f271687ca5d"),
+        (7, "2f69e1ed76f9ca96e41f3a4fe6fcf886d9e68aac"),
+        (30, "d0a80ff6063a8825d67eb6257883890d9af510f0"),
+        (1_000, "d01e0898d6d14111519a7f61dc82c43bc71c4908"),
+    ):
+        monkeypatch.setattr(graph_mod, "_AUTOMORPHISM_STEPS", steps)
+        found = repr([automorphisms(g) for g in graphs])
+        assert hashlib.sha1(found.encode()).hexdigest() == digest, steps
