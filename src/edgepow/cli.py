@@ -226,18 +226,8 @@ def main(argv=None) -> int:
     p.add_argument("graph")
     p.add_argument("--caps", required=True)
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument(
-        "--exchange", dest="property", action="store_const", const="exchange"
-    )
-    grp.add_argument(
-        "--symmetric", dest="property", action="store_const", const="symmetric"
-    )
-    grp.add_argument(
-        "--strong", dest="property", action="store_const", const="strong"
-    )
-    grp.add_argument(
-        "--veronese", dest="property", action="store_const", const="veronese"
-    )
+    for name in (*_CHECKS, "veronese"):
+        grp.add_argument(f"--{name}", dest="property", action="store_const", const=name)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 

@@ -6,26 +6,26 @@ of variables (one up in u, one down) lands on two other members w_i0, w_j0
 with w_i * w_j = w_i0 * w_j0; the quadratic relation z_i z_j - z_i0 z_j0 is
 recorded in canonical form.
 
-Whether these quadrics generate the full toric ideal through degree m is
-equivalent to connectivity of every degree-m fiber: the m-multisets of
-generator indices sharing one product monomial, linked when one quadratic
-relation rewrites one into the other.  A rewrite turns {a,b}+R into {c,d}+R
-for a quadric z_a z_b - z_c z_d and an (m-2)-multiset R, so
-``check_fiber_connectivity`` joins both sides of every (quadric, R) pair in
-one union-find per degree and requires each fiber to be a single class.  It
-certifies degrees 2..m_max or returns a disconnected fiber (a kernel
-binomial that the quadrics do not generate).
+Whether these quadrics generate the toric ideal through degree m is
+equivalent to connectivity of every degree-m fiber, the m-multisets of
+generator indices sharing one product, under the moves {a,b}+R -> {c,d}+R
+(z_a z_b - z_c z_d a quadric, |R| = m-2).  ``check_fiber_connectivity``
+keeps one union-find per degree: degree 2 joins both sides of each quadric,
+and degree m+1 joins x+u to r+u for each index u and each non-root x of
+degree m, r its root.  These are the classes of the moves: x ~ r by a chain
+of moves, and that chain plus u is one in degree m+1; a degree-(m+1) move
+is, for any u in R, a degree-m move plus u, whose two ends share a root r,
+so both of its ends are joined to r+u.
 
 The inner loops work on packed Python ints, not tuples.  An exponent vector
 packs into one int with coordinate 0 in the highest fixed-width digit; with
 digits wide enough that no sum carries, a product of members is the sum of
 their packed forms, and ascending packed order is the lexicographic order
 of the tuples.  A multiset of generator indices packs as its count vector
-(index 1 in the highest digit), so {a,b}+R is pack({a,b}) + pack(R).  A
-fiber is only a key of a dict of multisets: the check counts singleton
-fibers without building anything for them, and unpacks a product or a
-multiset only for a failure witness.  ``fibers`` unpacks every group into
-the public ``Fiber`` form.
+(index 1 highest, digits for degree m_max), so x+u is one add.  A fiber is
+only a dict key: the check counts singleton fibers without building them
+and unpacks a product or multiset only for a failure witness.  ``fibers``
+unpacks every group into the public ``Fiber`` form.
 
 ``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
 the walk the strong-exchange counterexample search shares, with its bounds;
@@ -94,9 +94,9 @@ def _units(s: int, m: int) -> list:
     return [1 << (bits * k) for k in range(s - 1, -1, -1)]
 
 
-def _multiset(key: int, s: int, m: int) -> tuple:
-    """Sorted 1-based generator indices of a packed degree-m count vector."""
-    counts = _unpack(key, m.bit_length(), s)
+def _multiset(key: int, s: int, top: int) -> tuple:
+    """Sorted 1-based generator indices of a count vector packed for degree top."""
+    counts = _unpack(key, top.bit_length(), s)
     return tuple(k for k, c in enumerate(counts, 1) for _ in range(c))
 
 
@@ -162,15 +162,15 @@ class Fiber:
     nodes: tuple  # sorted tuples of 1-based generator indices
 
 
-def _fiber_groups(ws, m: int, budget: int) -> dict:
+def _fiber_groups(ws, m: int, top: int, budget: int) -> dict:
     """Degree-m multisets of generator indices keyed by packed product.
 
     A member packs with digits wide enough for a degree-m product, so a
     multiset's product is the sum of its packed members and ascending keys
     are the product tuples in lexicographic order.  Each multiset is its
-    packed count vector (``_units``), listed in combinations-with-replacement
-    order.  Both packings ride in one int per member, the product above
-    the counts, so one sum per multiset yields both.
+    count vector packed for degree ``top`` >= m (``_units``), listed in the
+    lexicographic order of its index tuple.  Both packings ride in one int
+    per member, the product above the counts, so one sum yields both.
     """
     s = len(ws)
     count = comb(s + m - 1, m)
@@ -179,10 +179,10 @@ def _fiber_groups(ws, m: int, budget: int) -> dict:
             f"{count} degree-{m} multisets exceed the fiber budget {budget}"
         )
     bits = _product_bits(ws, m)
-    shift = m.bit_length() * s
+    shift = top.bit_length() * s
     low = (1 << shift) - 1
     items = [
-        (_pack(vec, bits) << shift) | unit for vec, unit in zip(ws, _units(s, m))
+        (_pack(vec, bits) << shift) | unit for vec, unit in zip(ws, _units(s, top))
     ]
     groups = {}
     for total in map(sum, combinations_with_replacement(items, m)):
@@ -204,7 +204,7 @@ def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
             _unpack(prod, bits, n),
             tuple(_multiset(node, s, m) for node in nodes),
         )
-        for prod, nodes in sorted(_fiber_groups(ws, m, budget).items())
+        for prod, nodes in sorted(_fiber_groups(ws, m, m, budget).items())
     )
 
 
@@ -266,38 +266,34 @@ def check_fiber_connectivity(
     """Certify generation by the exchange quadrics through degree m_max.
 
     Every fiber of every degree 2..m_max must be connected under the
-    quadratic moves; a disconnected fiber exhibits a kernel binomial that
-    the quadrics do not generate.
+    quadratic moves (module docstring); a disconnected fiber exhibits a
+    kernel binomial that the quadrics do not generate.
     """
     check_m_max(m_max)
     bins = sym_exchange_binomials(w)
     ws = _ordered_members(w)
     s = len(ws)
+    units = _units(s, m_max)
+    joins = [
+        (units[b.i - 1] + units[b.j - 1], units[b.i0 - 1] + units[b.j0 - 1])
+        for b in bins
+    ]
+
+    def find(x):
+        # path halving: point x at its grandparent, then move x there
+        while (up := parent.get(x, x)) != x:
+            parent[x] = x = parent.get(up, up)
+        return x
+
     checks = []
     for m in range(2, m_max + 1):
-        groups = _fiber_groups(ws, m, budget)
-        units = _units(s, m)
-        # {a,b}+R is pack({a,b}) + pack(R) on packed count vectors
-        moves = [
-            (units[b.i - 1] + units[b.j - 1], units[b.i0 - 1] + units[b.j0 - 1])
-            for b in bins
-        ]
+        groups = _fiber_groups(ws, m, m_max, budget)
         parent = {}
-
-        def find(x):
-            root = x
-            while (up := parent.get(root, root)) != root:
-                root = up
-            while x != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for rest in map(sum, combinations_with_replacement(units, m - 2)):
-            for p, q in moves:
-                ra = find(p + rest)
-                rb = find(q + rest)
-                if ra != rb:
-                    parent[ra] = rb
+        for p, q in joins:
+            ra = find(p)
+            rb = find(q)
+            if ra != rb:
+                parent[ra] = rb
         shared = sorted(prod for prod, nodes in groups.items() if len(nodes) > 1)
         for nontrivial, prod in enumerate(shared, 1):
             nodes = groups[prod]
@@ -311,13 +307,17 @@ def check_fiber_connectivity(
                     failure = (
                         m,
                         _unpack(prod, _product_bits(ws, m), len(ws[0])),
-                        _multiset(nodes[0], s, m),
-                        _multiset(node, s, m),
+                        _multiset(nodes[0], s, m_max),
+                        _multiset(node, s, m_max),
                     )
                     return ConnectivityReport(
                         False, m_max, tuple(checks), len(bins), failure
                     )
         checks.append(FiberCheck(m, len(groups), len(shared), True))
+        if m < m_max:
+            # parent's keys are the non-roots; a list of joins would raise peak RSS
+            roots = [(x, find(x)) for x in parent]
+            joins = ((x + u, r + u) for x, r in roots for u in units)
     return ConnectivityReport(True, m_max, tuple(checks), len(bins))
 
 

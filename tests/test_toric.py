@@ -155,16 +155,48 @@ def test_connectivity_independent_of_member_order():
     assert base["failure"]["multiset_a"] == [1, 4]
 
 
-def test_connectivity_matches_reference_search():
+def _failing_degrees_against_reference(draw_m_max):
+    """Compare the check with the reference search on 400 random member
+    sets (seed 73); return the degree of each failure."""
     rng = random.Random(73)
-    failing = 0
+    degrees = []
     for _ in range(400):
         w = random_member_set(rng)
-        m = rng.randint(2, 4)
+        m = draw_m_max(rng)
         got = check_fiber_connectivity(w, m).to_json()
         assert got == reference_fiber_connectivity(w, m).to_json()
-        failing += not got["ok"]
-    assert failing >= 40
+        if not got["ok"]:
+            degrees.append(got["failure"]["m"])
+    return degrees
+
+
+def test_connectivity_matches_reference_search():
+    assert len(_failing_degrees_against_reference(lambda rng: rng.randint(2, 4))) >= 40
+
+
+def test_connectivity_matches_reference_search_through_degree_5():
+    # joins of degrees 3..5 are derived from the degree before: these draws
+    # first fail at degrees 2/3/4/5 in 39/59/10/2 cases
+    assert {3, 4, 5} <= set(_failing_degrees_against_reference(lambda rng: 5))
+
+
+@pytest.mark.parametrize(
+    "w,connected_through,failure",
+    [
+        ({(3, 1), (2, 2), (0, 4)}, 2, (3, (6, 6), (1, 1, 3), (2, 2, 2))),
+        (
+            {(0, 2, 2), (1, 0, 3), (1, 2, 1), (2, 1, 1)},
+            3,
+            (4, (4, 6, 6), (1, 1, 4, 4), (2, 2, 2, 3)),
+        ),
+    ],
+)
+def test_first_failure_past_degree_2(w, connected_through, failure):
+    assert check_fiber_connectivity(w, connected_through).ok
+    for m_max in range(connected_through + 1, 6):
+        report = check_fiber_connectivity(w, m_max)
+        assert report.failure == failure
+        assert report.to_json() == reference_fiber_connectivity(w, m_max).to_json()
 
 
 def test_packed_kernel_matches_tuple_reference_at_width_edges():
@@ -221,10 +253,10 @@ def test_connectivity_budget_checked_before_union_find(monkeypatch):
         check_fiber_connectivity(FINAL_W, 3, budget=10)
     assert enumerated == []
     # degree 2 (21 multisets) fits, degree 3 (56) does not: only the degree-2
-    # fibers and their union-find are built
+    # fibers are enumerated, and no degree-3 multiset
     with pytest.raises(BudgetError):
         check_fiber_connectivity(FINAL_W, 3, budget=30)
-    assert enumerated == [2, 0]
+    assert enumerated == [2]
 
 
 def test_conjecture_scan_records_budget_skips():
