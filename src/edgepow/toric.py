@@ -10,22 +10,23 @@ Whether these quadrics generate the toric ideal through degree m is
 equivalent to connectivity of every degree-m fiber, the m-multisets of
 generator indices sharing one product, under the moves {a,b}+R -> {c,d}+R
 (z_a z_b - z_c z_d a quadric, |R| = m-2).  ``check_fiber_connectivity``
-keeps one union-find per degree: degree 2 joins both sides of each quadric,
-and degree m+1 joins x+u to r+u for each index u and each non-root x of
-degree m, r its root.  These are the classes of the moves: x ~ r by a chain
-of moves, and that chain plus u is one in degree m+1; a degree-(m+1) move
-is, for any u in R, a degree-m move plus u, whose two ends share a root r,
-so both of its ends are joined to r+u.
+keeps one union-find per degree, joining in degree 2 the sides of each
+quadric, in degree m+1 x+u to r+u for each index u and non-root x of degree
+m, r its root: x ~ r by moves, which plus u stay moves, and a degree-(m+1)
+move is, for u in R, a degree-m move plus u, whose ends share a root.  A
+move keeps the product, so #classes >= #fibers, with equality exactly when
+every fiber is connected.  A union of two classes adds one key to the
+parent map and path halving rewrites only present keys, so #classes =
+C(s+m-1, m) - #keys: a degree passes on counts alone, and only a failing
+one groups and walks its fibers.
 
 The inner loops work on packed Python ints, not tuples.  An exponent vector
 packs into one int with coordinate 0 in the highest fixed-width digit; with
 digits wide enough that no sum carries, a product of members is the sum of
 their packed forms, and ascending packed order is the lexicographic order
 of the tuples.  A multiset of generator indices packs as its count vector
-(index 1 highest, digits for degree m_max), so x+u is one add.  A fiber is
-only a dict key: the check counts singleton fibers without building them
-and unpacks a product or multiset only for a failure witness.  ``fibers``
-unpacks every group into the public ``Fiber`` form.
+(index 1 highest, digits for degree m_max), so x+u is one add.  Products
+and multisets are unpacked only for a failure witness and by ``fibers``.
 
 ``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
 the walk the strong-exchange counterexample search shares, with its bounds;
@@ -51,9 +52,11 @@ image of its earlier cell's members and the check runs again on that.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import countOf
 
 from .corpus import UNICYCLIC_COUNTS
 from .exchange import GRID_LIMIT, _member_set, _moves, cap_grid, check_cap_max, check_grid
@@ -162,22 +165,23 @@ class Fiber:
     nodes: tuple  # sorted tuples of 1-based generator indices
 
 
+def _multisets(s: int, m: int, budget: int) -> int:
+    """C(s+m-1, m), the degree-m multisets of s indices, if it fits the budget."""
+    count = comb(s + m - 1, m)
+    if count > budget:
+        raise BudgetError(f"{count} degree-{m} multisets exceed the fiber budget {budget}")
+    return count
+
+
 def _fiber_groups(ws, m: int, top: int, budget: int) -> dict:
     """Degree-m multisets of generator indices keyed by packed product.
 
-    A member packs with digits wide enough for a degree-m product, so a
-    multiset's product is the sum of its packed members and ascending keys
-    are the product tuples in lexicographic order.  Each multiset is its
-    count vector packed for degree ``top`` >= m (``_units``), listed in the
-    lexicographic order of its index tuple.  Both packings ride in one int
-    per member, the product above the counts, so one sum yields both.
+    A member's product packing (digits for degree m, so keys sort as product
+    tuples) rides above its count vector for degree ``top`` >= m (``_units``),
+    so one sum yields both; a group lists multisets in their tuples' order.
     """
     s = len(ws)
-    count = comb(s + m - 1, m)
-    if count > budget:
-        raise BudgetError(
-            f"{count} degree-{m} multisets exceed the fiber budget {budget}"
-        )
+    _multisets(s, m, budget)
     bits = _product_bits(ws, m)
     shift = top.bit_length() * s
     low = (1 << shift) - 1
@@ -274,6 +278,7 @@ def check_fiber_connectivity(
     ws = _ordered_members(w)
     s = len(ws)
     units = _units(s, m_max)
+    products = [_pack(vec, _product_bits(ws, m_max)) for vec in ws]
     joins = [
         (units[b.i - 1] + units[b.j - 1], units[b.i0 - 1] + units[b.j0 - 1])
         for b in bins
@@ -287,33 +292,28 @@ def check_fiber_connectivity(
 
     checks = []
     for m in range(2, m_max + 1):
-        groups = _fiber_groups(ws, m, m_max, budget)
+        count = _multisets(s, m, budget)
         parent = {}
         for p, q in joins:
             ra = find(p)
             rb = find(q)
             if ra != rb:
                 parent[ra] = rb
-        shared = sorted(prod for prod, nodes in groups.items() if len(nodes) > 1)
-        for nontrivial, prod in enumerate(shared, 1):
-            nodes = groups[prod]
-            # nodes are listed in the lexicographic order of their index
-            # tuples, so the first one outside the class of nodes[0] is the
-            # least such node
-            root = find(nodes[0])
-            for node in nodes[1:]:
-                if find(node) != root:
+        sizes = Counter(map(sum, combinations_with_replacement(products, m)))
+        if count - len(parent) > len(sizes):  # some fiber holds two classes
+            groups = _fiber_groups(ws, m, m_max, budget)
+            shared = sorted(prod for prod, nodes in groups.items() if len(nodes) > 1)
+            for nontrivial, prod in enumerate(shared, 1):
+                # nodes come in their index tuples' order: b is the least outside a's class
+                a, *rest = groups[prod]
+                root = find(a)
+                b = next((node for node in rest if find(node) != root), None)
+                if b is not None:
                     checks.append(FiberCheck(m, len(groups), nontrivial, False))
-                    failure = (
-                        m,
-                        _unpack(prod, _product_bits(ws, m), len(ws[0])),
-                        _multiset(nodes[0], s, m_max),
-                        _multiset(node, s, m_max),
-                    )
-                    return ConnectivityReport(
-                        False, m_max, tuple(checks), len(bins), failure
-                    )
-        checks.append(FiberCheck(m, len(groups), len(shared), True))
+                    prod = _unpack(prod, _product_bits(ws, m), len(ws[0]))
+                    failure = (m, prod, _multiset(a, s, m_max), _multiset(b, s, m_max))
+                    return ConnectivityReport(False, m_max, tuple(checks), len(bins), failure)
+        checks.append(FiberCheck(m, len(sizes), len(sizes) - countOf(sizes.values(), 1), True))
         if m < m_max:
             # parent's keys are the non-roots; a list of joins would raise peak RSS
             roots = [(x, find(x)) for x in parent]

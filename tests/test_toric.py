@@ -241,6 +241,28 @@ def test_connectivity_builds_no_fiber(monkeypatch):
         fibers(FINAL_W, 2)
 
 
+def test_connectivity_groups_fibers_only_in_a_failing_degree(monkeypatch):
+    calls = []
+    grouped = toric._fiber_groups
+
+    def recording(ws, m, top, budget):
+        calls.append(m)
+        return grouped(ws, m, top, budget)
+
+    monkeypatch.setattr(toric, "_fiber_groups", recording)
+    assert check_fiber_connectivity(FINAL_W, 3).ok
+    # the heaviest cell of the cap-3 scan of unicyclic graphs on <= 7 vertices
+    heavy = PowerEngine(corpus.unicyclic_up_to(7)[47]).generators((3,) * 7)
+    assert len(heavy.members) == 110
+    assert check_fiber_connectivity(heavy, 3).ok
+    assert calls == []
+    disconnected = {(2, 0, 1), (0, 2, 1), (1, 1, 2), (1, 1, 0)}
+    assert check_fiber_connectivity(disconnected, 3).failure == (
+        2, (2, 2, 2), (1, 4), (2, 3)
+    )
+    assert calls == [2]
+
+
 def test_connectivity_budget_checked_before_union_find(monkeypatch):
     enumerated = []
 
