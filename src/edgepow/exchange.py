@@ -62,8 +62,9 @@ this lemma:
   the automorphisms are found at the first vector with an inversion
   inside a class.
 
-``conjecture_scan`` counts and streams every cell, and replays a skipped
-cell from its earlier image (the ``toric`` docstring).
+``conjecture_scan`` counts and streams every cell, replays a skipped cell
+from its earlier image, and checks one computed cell per shape of W, its
+translate by min(W) on the coordinates that vary (the ``toric`` docstring).
 """
 from __future__ import annotations
 

@@ -49,6 +49,15 @@ exact: w -> w' with w'[sigma[j]] = w[j] maps W(c o sigma) onto W(c)
 A failure witness names members by their index in the largest-first order,
 which the permutation does not keep, so a violating cell gets its W as the
 image of its earlier cell's members and the check runs again on that.
+
+The scan checks one computed cell per shape of W in a call, the set of
+w - min(W) on the coordinates that vary on W, and gives the others of that
+shape its verdict and report.  This map is injective on W and keeps lex
+order, so the z-indexing is the same; every exchange (xi, rho) lies in
+varying coordinates, so the strong verdict and, by index, the quadrics are
+the same; products of m-multisets map injectively, so the fibers are the
+same by index; and the budget test reads only |W| and m.  Only a failure's
+product differs, so a cell whose shape failed is checked again on its own W.
 """
 from __future__ import annotations
 
@@ -278,7 +287,8 @@ def check_fiber_connectivity(
     ws = _ordered_members(w)
     s = len(ws)
     units = _units(s, m_max)
-    products = [_pack(vec, _product_bits(ws, m_max)) for vec in ws]
+    bits = _product_bits(ws, m_max)
+    products = [_pack(vec, bits) for vec in ws]
     joins = [
         (units[b.i - 1] + units[b.j - 1], units[b.i0 - 1] + units[b.j0 - 1])
         for b in bins
@@ -409,7 +419,8 @@ def conjecture_scan(
     A graph whose grid ``cap_grid`` refuses raises before any of its
     instances, and an engine that exhausts ``node_budget`` raises
     BudgetError; the budget charges only the cells the engine computes,
-    about one per orbit (module docstring).  Fiber budget overruns are recorded per
+    about one per orbit, and a memo of one call checks one of them per
+    shape of W (module docstring).  Fiber budget overruns are recorded per
     instance and the scan continues.  The returned report lists every
     disconnected fiber found; a clean report certifies generation by the
     exchange quadrics through degree m_max on the swept instances.
@@ -420,12 +431,20 @@ def conjecture_scan(
     strong_fail = 0
     violations = []
     skips = []
+    shapes = {}  # _shape(W) -> (strong verdict, fiber report)
     for gi, g in enumerate(graphs):
         seen = {}
         for caps, gens, sigma in cap_grid(g, cap_max, node_budget):
             if sigma is None:
-                strong, size = check_strong_exchange(gens).ok, len(gens)
-                report = _fiber_report(gens, m_max, fiber_budget)
+                size, shape = len(gens), _shape(gens)
+                if shape in shapes:
+                    strong, report = shapes[shape]
+                    if report is not None and not report.ok:  # its witness names its own product
+                        report = _fiber_report(gens, m_max, fiber_budget)
+                else:
+                    strong = check_strong_exchange(gens).ok
+                    report = _fiber_report(gens, m_max, fiber_budget)
+                    shapes[shape] = strong, report
             else:
                 strong, size, report, image = seen[tuple(map(caps.__getitem__, sigma))]
                 if report is not None and not report.ok:
@@ -450,6 +469,13 @@ def conjecture_scan(
     return ScanReport(
         cap_max, m_max, instances, tuple(violations), tuple(skips), strong_pass, strong_fail
     )
+
+
+def _shape(w) -> frozenset:
+    """W translated by its componentwise minimum, on the coordinates that vary on W."""
+    ws = _ordered_members(w)
+    live = [(t, low) for t, col in enumerate(zip(*ws)) if (low := min(col)) != max(col)]
+    return frozenset(tuple(v[t] - low for t, low in live) for v in ws)
 
 
 def _fiber_report(gens, m_max: int, budget: int):

@@ -155,6 +155,34 @@ def test_connectivity_independent_of_member_order():
     assert base["failure"]["multiset_a"] == [1, 4]
 
 
+def test_a_translate_with_constant_coordinates_has_the_same_shape_and_reports():
+    # the toric docstring's shape lemma: every field of the reports is kept
+    # except a failure's product, which names the translate's own product
+    rng = random.Random(79)
+    failures = 0
+    for _ in range(200):
+        w = random_member_set(rng)
+        n = len(next(iter(w)))
+        shift = [rng.randint(0, 3) for _ in range(n)]
+        constants = [(rng.randint(0, n), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        moved = set()
+        for v in w:
+            out = [a + b for a, b in zip(v, shift)]
+            for at, value in constants:
+                out.insert(at, value)
+            moved.add(tuple(out))
+        assert toric._shape(moved) == toric._shape(w)
+        assert check_strong_exchange(moved).ok == check_strong_exchange(w).ok
+        reports = []
+        for u in (w, moved):
+            report = check_fiber_connectivity(u, 3).to_json()
+            report.get("failure", {}).pop("product", None)
+            reports.append(report)
+        assert reports[0] == reports[1], w
+        failures += not reports[0]["ok"]
+    assert failures >= 20
+
+
 def _failing_degrees_against_reference(draw_m_max):
     """Compare the check with the reference search on 400 random member
     sets (seed 73); return the degree of each failure."""
@@ -473,6 +501,76 @@ def test_scan_replays_a_violation_with_its_own_witness(monkeypatch):
         and failure[gi, caps] != failure[gi, tuple(caps[x] for x in sigma)]
     ]
     assert len(moved) > 1
+
+
+def _translate_shape(w):
+    """W minus its componentwise minimum, on the coordinates where W varies."""
+    ws = list(w.members)
+    low = [min(col) for col in zip(*ws)]
+    live = [t for t, a in enumerate(low) if any(v[t] != a for v in ws)]
+    return frozenset(tuple(v[t] - low[t] for t in live) for v in ws)
+
+
+def test_scan_checks_each_shape_once_per_call(monkeypatch):
+    # 401 cells of these grids reach the engine, and no two of one graph
+    # have the same W
+    calls = {}
+
+    def counting(name):
+        original = getattr(toric, name)
+
+        def count(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        return count
+
+    checks = ("check_strong_exchange", "check_fiber_connectivity")
+    for name in checks:
+        monkeypatch.setattr(toric, name, counting(name))
+    graphs = corpus.unicyclic_up_to(6)
+    computed = [
+        [gens for _, gens, sigma in cap_grid(g, 2) if sigma is None] for g in graphs
+    ]
+    assert sum(len({w.members for w in ws}) for ws in computed) == 401
+    per_graph = sum(len(set(map(_translate_shape, ws))) for ws in computed)
+    one_call = len({_translate_shape(w) for ws in computed for w in ws})
+    assert (per_graph, one_call) == (154, 59)
+    for g in graphs:
+        conjecture_scan([g], cap_max=2)
+    assert calls == dict.fromkeys(checks, per_graph)
+    calls.clear()
+    conjecture_scan(graphs, cap_max=2)
+    assert calls == dict.fromkeys(checks, one_call)
+
+
+def test_scan_reruns_a_failing_shape_with_its_own_witness(monkeypatch):
+    # a check that fails on every |W| divisible by 3 (a rule every translate
+    # keeps), with a witness read off the cell's own largest member
+    original = toric.check_fiber_connectivity
+    graphs = corpus.unicyclic_up_to(6)
+    computed = {
+        (g.sorted_edges, caps) for g in graphs for caps, _, sigma in cap_grid(g, 2)
+        if sigma is None
+    }
+    shapes = []  # of the fiber checks of computed cells, not replayed ones
+
+    def forced(w, m_max=3, budget=toric.DEFAULT_FIBER_BUDGET):
+        if (w.graph.sorted_edges, w.caps) in computed:
+            shapes.append(_translate_shape(w))
+        report = original(w, m_max, budget)
+        ws = w.ordered
+        if len(ws) % 3:
+            return report
+        failure = (2, tuple(2 * a for a in ws[0]), (1, 1), (1, 1))
+        return toric.ConnectivityReport(False, m_max, report.degrees, 0, failure)
+
+    monkeypatch.setattr(toric, "check_fiber_connectivity", forced)
+    report = conjecture_scan(graphs, cap_max=2)
+    reruns = len(shapes) - len(set(shapes))
+    assert reruns > 0 and report.violations
+    got, want = _scans(graphs, cap_max=2)
+    assert got == want
 
 
 def test_scan_report_json():
