@@ -75,27 +75,24 @@ def classify_path(n: int) -> ClassificationVerdict:
 
 
 def _star_whisker_center(g: Graph):
-    """A vertex from which g is a star with at most one pendant per leaf, or None."""
-    for center in range(1, g.n + 1):
-        spokes = g.neighbors(center)
-        count = 1 + len(spokes)
-        ok = True
-        for u in spokes:
+    """A vertex from which g is a star with at most one pendant per leaf, or None.
+
+    g is a connected tree, so a centre whose neighbours have degree <= 2 and
+    whose neighbours' other neighbours are leaves reaches every vertex within
+    two steps, each once: no vertex count is needed.
+    """
+    return next(
+        (
+            center
+            for center in range(1, g.n + 1)
             # degree first: the tip set of a hub would cost its whole degree
-            if g.degrees[u - 1] > 2:
-                ok = False
-                break
-            tips = g.neighbors(u) - {center}
-            for w in tips:
-                if g.degree(w) != 1:
-                    ok = False
-                    break
-                count += 1
-            if not ok:
-                break
-        if ok and count == g.n:
-            return center
-    return None
+            if all(
+                g.degrees[u - 1] <= 2 and all(g.degree(w) == 1 for w in g.neighbors(u) - {center})
+                for u in g.neighbors(center)
+            )
+        ),
+        None,
+    )
 
 
 def classify_tree(g: Graph) -> ClassificationVerdict:

@@ -64,7 +64,8 @@ this lemma:
 
 ``conjecture_scan`` counts and streams every cell, replays a skipped cell
 from its earlier image, and checks one computed cell per shape of W, its
-translate by min(W) on the coordinates that vary (the ``toric`` docstring).
+translate by min(W) on the coordinates that vary; one rule reruns a failing
+report on each other cell's own W (the ``toric`` docstring).
 """
 from __future__ import annotations
 

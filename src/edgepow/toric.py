@@ -25,8 +25,10 @@ packs into one int with coordinate 0 in the highest fixed-width digit; with
 digits wide enough that no sum carries, a product of members is the sum of
 their packed forms, and ascending packed order is the lexicographic order
 of the tuples.  A multiset of generator indices packs as its count vector
-(index 1 highest, digits for degree m_max), so x+u is one add.  Products
-and multisets are unpacked only for a failure witness and by ``fibers``.
+(index 1 highest), so x+u is one add.  One check packs products and count
+vectors once, with digits for degree m_max, and every degree, a failing
+one's fiber groups included, sums those same ints; products and multisets
+are unpacked only for a failure witness and by ``fibers``.
 
 ``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
 the walk the strong-exchange counterexample search shares, with its bounds;
@@ -46,18 +48,20 @@ exact: w -> w' with w'[sigma[j]] = w[j] maps W(c o sigma) onto W(c)
   the fiber and non-trivial counts and each fiber's connectivity hold, and
   so does the degree at which the check stops.
 
-A failure witness names members by their index in the largest-first order,
-which the permutation does not keep, so a violating cell gets its W as the
-image of its earlier cell's members and the check runs again on that.
-
 The scan checks one computed cell per shape of W in a call, the set of
 w - min(W) on the coordinates that vary on W, and gives the others of that
 shape its verdict and report.  This map is injective on W and keeps lex
 order, so the z-indexing is the same; every exchange (xi, rho) lies in
 varying coordinates, so the strong verdict and, by index, the quadrics are
 the same; products of m-multisets map injectively, so the fibers are the
-same by index; and the budget test reads only |W| and m.  Only a failure's
-product differs, so a cell whose shape failed is checked again on its own W.
+same by index; and the budget test reads only |W| and m.
+
+Each cell reads its verdict and report under one shape: its own, or a
+replayed cell its earlier image's.  A witness names a product, which the
+shape map does not keep, and members by largest-first index, which the
+permutation does not keep; so a failing report that another cell computed
+is checked again on the cell's own W, for a replayed cell the image of its
+earlier cell's members.
 """
 from __future__ import annotations
 
@@ -182,24 +186,16 @@ def _multisets(s: int, m: int, budget: int) -> int:
     return count
 
 
-def _fiber_groups(ws, m: int, top: int, budget: int) -> dict:
-    """Degree-m multisets of generator indices keyed by packed product.
-
-    A member's product packing (digits for degree m, so keys sort as product
-    tuples) rides above its count vector for degree ``top`` >= m (``_units``),
-    so one sum yields both; a group lists multisets in their tuples' order.
-    """
-    s = len(ws)
-    _multisets(s, m, budget)
-    bits = _product_bits(ws, m)
-    shift = top.bit_length() * s
-    low = (1 << shift) - 1
-    items = [
-        (_pack(vec, bits) << shift) | unit for vec, unit in zip(ws, _units(s, top))
-    ]
+def _fiber_groups(products, units, m: int) -> dict:
+    """Degree-m multisets of generator indices, as summed ``units``, keyed by
+    the sum of their packed ``products``; a group lists multisets in their
+    tuples' order."""
     groups = {}
-    for total in map(sum, combinations_with_replacement(items, m)):
-        groups.setdefault(total >> shift, []).append(total & low)
+    for prod, node in zip(
+        map(sum, combinations_with_replacement(products, m)),
+        map(sum, combinations_with_replacement(units, m)),
+    ):
+        groups.setdefault(prod, []).append(node)
     return groups
 
 
@@ -209,15 +205,16 @@ def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
         raise ValueError(f"fiber degree must be >= 2, got {m}")
     ws = _ordered_members(w)
     s = len(ws)
-    n = len(ws[0])
+    _multisets(s, m, budget)
     bits = _product_bits(ws, m)
+    groups = _fiber_groups([_pack(vec, bits) for vec in ws], _units(s, m), m)
     return tuple(
         Fiber(
             m,
-            _unpack(prod, bits, n),
+            _unpack(prod, bits, len(ws[0])),
             tuple(_multiset(node, s, m) for node in nodes),
         )
-        for prod, nodes in sorted(_fiber_groups(ws, m, m, budget).items())
+        for prod, nodes in sorted(groups.items())
     )
 
 
@@ -311,7 +308,7 @@ def check_fiber_connectivity(
                 parent[ra] = rb
         sizes = Counter(map(sum, combinations_with_replacement(products, m)))
         if count - len(parent) > len(sizes):  # some fiber holds two classes
-            groups = _fiber_groups(ws, m, m_max, budget)
+            groups = _fiber_groups(products, units, m)
             shared = sorted(prod for prod, nodes in groups.items() if len(nodes) > 1)
             for nontrivial, prod in enumerate(shared, 1):
                 # nodes come in their index tuples' order: b is the least outside a's class
@@ -320,7 +317,7 @@ def check_fiber_connectivity(
                 b = next((node for node in rest if find(node) != root), None)
                 if b is not None:
                     checks.append(FiberCheck(m, len(groups), nontrivial, False))
-                    prod = _unpack(prod, _product_bits(ws, m), len(ws[0]))
+                    prod = _unpack(prod, bits, len(ws[0]))
                     failure = (m, prod, _multiset(a, s, m_max), _multiset(b, s, m_max))
                     return ConnectivityReport(False, m_max, tuple(checks), len(bins), failure)
         checks.append(FiberCheck(m, len(sizes), len(sizes) - countOf(sizes.values(), 1), True))
@@ -420,10 +417,12 @@ def conjecture_scan(
     instances, and an engine that exhausts ``node_budget`` raises
     BudgetError; the budget charges only the cells the engine computes,
     about one per orbit, and a memo of one call checks one of them per
-    shape of W (module docstring).  Fiber budget overruns are recorded per
-    instance and the scan continues.  The returned report lists every
-    disconnected fiber found; a clean report certifies generation by the
-    exchange quadrics through degree m_max on the swept instances.
+    shape of W; its one rule reruns a failing report that another cell
+    computed on the cell's own W (module docstring).  Fiber budget overruns
+    are recorded per instance and the scan continues.  The returned report
+    lists every disconnected fiber found; a clean report certifies
+    generation by the exchange quadrics through degree m_max on the swept
+    instances.
     """
     check_cap_max(cap_max)
     check_m_max(m_max)
@@ -433,25 +432,22 @@ def conjecture_scan(
     skips = []
     shapes = {}  # _shape(W) -> (strong verdict, fiber report)
     for gi, g in enumerate(graphs):
-        seen = {}
+        seen = {}  # caps -> (shape of W, W if its report failed)
         for caps, gens, sigma in cap_grid(g, cap_max, node_budget):
-            if sigma is None:
-                size, shape = len(gens), _shape(gens)
-                if shape in shapes:
-                    strong, report = shapes[shape]
-                    if report is not None and not report.ok:  # its witness names its own product
-                        report = _fiber_report(gens, m_max, fiber_budget)
-                else:
-                    strong = check_strong_exchange(gens).ok
-                    report = _fiber_report(gens, m_max, fiber_budget)
-                    shapes[shape] = strong, report
-            else:
-                strong, size, report, image = seen[tuple(map(caps.__getitem__, sigma))]
-                if report is not None and not report.ok:
+            reused = True
+            if sigma is not None:
+                shape, image = seen[tuple(map(caps.__getitem__, sigma))]
+            elif (shape := _shape(gens)) not in shapes:
+                strong = check_strong_exchange(gens).ok
+                shapes[shape] = strong, _fiber_report(gens, m_max, fiber_budget)
+                reused = False
+            strong, report = shapes[shape]
+            if reused and report is not None and not report.ok:  # a witness names its own W
+                if sigma is not None:
                     gens = _relabelled(image, caps, sigma)
-                    report = _fiber_report(gens, m_max, fiber_budget)
+                report = _fiber_report(gens, m_max, fiber_budget)
             failed = report is not None and not report.ok
-            seen[caps] = strong, size, report, gens if failed else None
+            seen[caps] = shape, gens if failed else None
             if strong:
                 strong_pass += 1
             else:
@@ -464,7 +460,7 @@ def conjecture_scan(
                 if not failed:
                     continue
                 kept, status, failure = violations, "violation", report.failure
-            kept.append(ScanInstance(gi, g.n, g.sorted_edges, caps, size, status, failure))
+            kept.append(ScanInstance(gi, g.n, g.sorted_edges, caps, len(shape), status, failure))
     instances = strong_pass + strong_fail
     return ScanReport(
         cap_max, m_max, instances, tuple(violations), tuple(skips), strong_pass, strong_fail
@@ -489,8 +485,6 @@ def _fiber_report(gens, m_max: int, budget: int):
 def _relabelled(image: GeneratorSet, caps: tuple, sigma: tuple) -> GeneratorSet:
     """W(caps) from W(caps o sigma): each member w becomes w' with
     w'[sigma[j]] = w[j] (module docstring), with no engine."""
-    inverse = [0] * len(sigma)
-    for j, x in enumerate(sigma):
-        inverse[x] = j
+    inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
     members = frozenset(tuple(map(w.__getitem__, inverse)) for w in image.members)
     return GeneratorSet(image.graph, caps, image.delta, members)

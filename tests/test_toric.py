@@ -273,9 +273,9 @@ def test_connectivity_groups_fibers_only_in_a_failing_degree(monkeypatch):
     calls = []
     grouped = toric._fiber_groups
 
-    def recording(ws, m, top, budget):
+    def recording(products, units, m):
         calls.append(m)
-        return grouped(ws, m, top, budget)
+        return grouped(products, units, m)
 
     monkeypatch.setattr(toric, "_fiber_groups", recording)
     assert check_fiber_connectivity(FINAL_W, 3).ok
@@ -571,6 +571,41 @@ def test_scan_reruns_a_failing_shape_with_its_own_witness(monkeypatch):
     assert reruns > 0 and report.violations
     got, want = _scans(graphs, cap_max=2)
     assert got == want
+
+
+def test_scan_checks_fibers_once_per_shape_and_once_per_reused_failure(monkeypatch):
+    # a check that fails on every |W| divisible by 3: the first cell of a
+    # shape is checked, and so is every later failing cell, replays included
+    original = toric.check_fiber_connectivity
+    checked = []
+
+    def forced(w, m_max=3, budget=toric.DEFAULT_FIBER_BUDGET):
+        checked.append(w)
+        report = original(w, m_max, budget)
+        if len(w.members) % 3:
+            return report
+        failure = (2, tuple(2 * a for a in w.ordered[0]), (1, 1), (1, 1))
+        return toric.ConnectivityReport(False, m_max, report.degrees, 0, failure)
+
+    monkeypatch.setattr(toric, "check_fiber_connectivity", forced)
+    graphs = corpus.unicyclic_up_to(6)
+    conjecture_scan(graphs, cap_max=2)
+    shapes = set()
+    later_failures = 0
+    for g in graphs:
+        size = {}
+        for caps, gens, sigma in cap_grid(g, 2):
+            if sigma is None:
+                size[caps] = len(gens.members)
+                shape = _translate_shape(gens)
+                later = shape in shapes
+                shapes.add(shape)
+            else:
+                size[caps] = size[tuple(caps[x] for x in sigma)]
+                later = True
+            later_failures += later and size[caps] % 3 == 0
+    assert len(shapes) == 59
+    assert len(checked) == 236 == len(shapes) + later_failures
 
 
 def test_scan_report_json():
