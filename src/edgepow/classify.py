@@ -87,8 +87,9 @@ def _star_whisker_center(g: Graph):
             for center in range(1, g.n + 1)
             # degree first: the tip set of a hub would cost its whole degree
             if all(
-                g.degrees[u - 1] <= 2 and all(g.degree(w) == 1 for w in g.neighbors(u) - {center})
-                for u in g.neighbors(center)
+                g.degrees[u - 1] <= 2
+                and all(g.degrees[w - 1] == 1 for w in g.adjacency[u - 1] - {center})
+                for u in g.adjacency[center - 1]
             )
         ),
         None,
@@ -107,7 +108,7 @@ def _tree_verdict(g: Graph, probe) -> ClassificationVerdict:
     center = _star_whisker_center(g)
     if center is not None:
         whiskered = sorted(
-            u for u in g.neighbors(center) if g.neighbors(u) - {center}
+            u for u in g.adjacency[center - 1] if g.adjacency[u - 1] - {center}
         )
         return ClassificationVerdict(
             True, "tree(ii)", {"center": center, "whiskered_leaves": whiskered}

@@ -5,7 +5,9 @@ Graph arguments accept a JSON file ({"n": ..., "edges": [[i, j], ...]}),
 an inline family spec ("cycle:8", "path:7", "star_whisker:3,2",
 "template:c5star"), or "fixture:NAME" for a registered fixture's graph.
 Exit codes: 0 success/pass, 2 property failure or counterexample found,
-1 usage or input error.
+1 usage or input error or a failing fixture in repro.
+Each command returns (exit code, JSON value, text lines), and main prints
+one result per command: the JSON value under --json, else the lines.
 """
 from __future__ import annotations
 
@@ -41,28 +43,24 @@ def _resolve_graph(arg: str) -> Graph:
     return from_spec(arg)
 
 
-def _cmd_delta(args) -> int:
-    g = _resolve_graph(args.graph)
-    engine = PowerEngine(g, args.budget)
+def _generators(args):
+    """W(c, G) for a gens or check command: the graph, an engine under
+    --budget, and the caps, in that order."""
+    engine = PowerEngine(_resolve_graph(args.graph), args.budget)
+    return engine.generators(parse_caps(args.caps))
+
+
+def _cmd_delta(args):
+    engine = PowerEngine(_resolve_graph(args.graph), args.budget)
     value = engine.delta(parse_caps(args.caps))
-    if args.json:
-        print(json.dumps({"delta": value}))
-    else:
-        print(value)
-    return 0
+    return 0, {"delta": value}, [str(value)]
 
 
-def _cmd_gens(args) -> int:
-    g = _resolve_graph(args.graph)
-    engine = PowerEngine(g, args.budget)
-    gens = engine.generators(parse_caps(args.caps))
-    if args.json:
-        print(json.dumps(gens.to_json()))
-    else:
-        print(f"delta = {gens.delta}, {len(gens)} generators")
-        for vec in gens.ordered:
-            print(f"  {format_monomial(vec)}  {list(vec)}")
-    return 0
+def _cmd_gens(args):
+    gens = _generators(args)
+    lines = [f"delta = {gens.delta}, {len(gens)} generators"]
+    lines += [f"  {format_monomial(vec)}  {list(vec)}" for vec in gens.ordered]
+    return 0, gens.to_json(), lines
 
 
 _CHECKS = {
@@ -72,68 +70,49 @@ _CHECKS = {
 }
 
 
-def _cmd_check(args) -> int:
-    g = _resolve_graph(args.graph)
-    engine = PowerEngine(g, args.budget)
-    gens = engine.generators(parse_caps(args.caps))
+def _cmd_check(args):
+    gens = _generators(args)
     if args.property == "veronese":
         decomp = detect_veronese(gens)
-        if args.json:
-            print(json.dumps(decomp.to_json() if decomp else None))
-        elif decomp is None:
-            print("none")
-        else:
-            print(
-                f"base={format_monomial(decomp.base)} degree={decomp.degree} "
-                f"support={list(decomp.support)} bounds={list(decomp.bounds)}"
-            )
-        return 0 if decomp is not None else 2
+        if decomp is None:
+            return 2, None, ["none"]
+        return 0, decomp.to_json(), [
+            f"base={format_monomial(decomp.base)} degree={decomp.degree} "
+            f"support={list(decomp.support)} bounds={list(decomp.bounds)}"
+        ]
     report = _CHECKS[args.property](gens)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(f"{args.property}: {'pass' if report.ok else 'fail'}")
-        if report.witness is not None:
-            w = report.witness
-            print(f"  u = {format_monomial(w.u)}  {list(w.u)}")
-            print(f"  v = {format_monomial(w.v)}  {list(w.v)}")
-            print(f"  xi = {w.xi}, rho = {w.rho}")
-            if w.missing is not None:
-                print(f"  missing = {format_monomial(w.missing)}  {list(w.missing)}")
-    return 0 if report.ok else 2
+    lines = [f"{args.property}: {'pass' if report.ok else 'fail'}"]
+    w = report.witness
+    if w is not None:
+        lines += [
+            f"  u = {format_monomial(w.u)}  {list(w.u)}",
+            f"  v = {format_monomial(w.v)}  {list(w.v)}",
+            f"  xi = {w.xi}, rho = {w.rho}",
+        ]
+        if w.missing is not None:
+            lines.append(f"  missing = {format_monomial(w.missing)}  {list(w.missing)}")
+    return 0 if report.ok else 2, report.to_json(), lines
 
 
-def _cmd_classify(args) -> int:
-    g = _resolve_graph(args.graph)
-    verdict = classify_mod.classify_graph(g)
-    print(json.dumps(verdict.to_json()))
-    return 0
+def _cmd_classify(args):
+    value = classify_mod.classify_graph(_resolve_graph(args.graph)).to_json()
+    return 0, value, [json.dumps(value)]
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     g = _resolve_graph(args.graph)
     found = search_sep_counterexample(g, args.cap_max, node_budget=args.budget)
     if found is None:
-        if args.json:
-            print(json.dumps({"counterexample": None}))
-        else:
-            print("none")
-        return 0
+        return 0, {"counterexample": None}, ["none"]
     caps, report = found
-    if args.json:
-        print(
-            json.dumps(
-                {"counterexample": list(caps), "report": report.to_json()}
-            )
-        )
-    else:
-        print(f"counterexample caps = {','.join(map(str, caps))}")
-        w = report.witness
-        print(f"  u = {list(w.u)}, v = {list(w.v)}, xi = {w.xi}, rho = {w.rho}")
-    return 2
+    w = report.witness
+    return 2, {"counterexample": list(caps), "report": report.to_json()}, [
+        f"counterexample caps = {','.join(map(str, caps))}",
+        f"  u = {list(w.u)}, v = {list(w.v)}, xi = {w.xi}, rho = {w.rho}",
+    ]
 
 
-def _cmd_repro(args) -> int:
+def _cmd_repro(args):
     if args.all:
         todo = list(fixtures.REGISTRY)
     elif args.fixture:
@@ -141,57 +120,39 @@ def _cmd_repro(args) -> int:
     else:
         raise ValueError("repro needs a fixture name or --all")
     results = [fixtures.run_fixture(f, args.budget) for f in todo]
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "fixture": r.fixture.name,
-                        "ok": r.ok,
-                        "checks": [
-                            {"label": l, "ok": ok, "info": i}
-                            for l, ok, i in r.checks
-                        ],
-                    }
-                    for r in results
-                ]
-            )
-        )
-    else:
-        for r in results:
-            mark = "pass" if r.ok else "FAIL"
-            print(f"{r.fixture.name:16s} {mark}  ({len(r.checks)} checks)")
-            for label, ok, info in r.checks:
-                if not ok:
-                    print(f"    FAILED {label}: {info}")
-        total = len(results)
-        good = sum(1 for r in results if r.ok)
-        print(f"{good}/{total} fixtures pass")
-    return 0 if all(r.ok for r in results) else 1
+    value = [
+        {
+            "fixture": r.fixture.name,
+            "ok": r.ok,
+            "checks": [{"label": l, "ok": ok, "info": i} for l, ok, i in r.checks],
+        }
+        for r in results
+    ]
+    lines = []
+    for r in results:
+        lines.append(f"{r.fixture.name:16s} {'pass' if r.ok else 'FAIL'}  ({len(r.checks)} checks)")
+        lines += [f"    FAILED {label}: {info}" for label, ok, info in r.checks if not ok]
+    good = sum(r.ok for r in results)
+    lines.append(f"{good}/{len(results)} fixtures pass")
+    return 0 if good == len(results) else 1, value, lines
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     toric.check_unicyclic_scan(args.max_n, args.cap_max, args.m_max)
     graphs = corpus.unicyclic_up_to(args.max_n)
     report = toric.conjecture_scan(graphs, args.cap_max, args.m_max, node_budget=args.budget)
-    if args.json:
-        print(json.dumps(report.to_json()))
+    lines = [
+        f"{report.instances} instances over {len(graphs)} unicyclic graphs "
+        f"(caps <= {args.cap_max}, fibers through degree {args.m_max})",
+        f"strong exchange: {report.strong_pass} pass / {report.strong_fail} fail; "
+        f"budget skips: {len(report.budget_skips)}",
+    ]
+    if report.clean:
+        lines.append("clean: every fiber connected")
     else:
-        print(
-            f"{report.instances} instances over {len(graphs)} unicyclic graphs "
-            f"(caps <= {args.cap_max}, fibers through degree {args.m_max})"
-        )
-        print(
-            f"strong exchange: {report.strong_pass} pass / {report.strong_fail} fail; "
-            f"budget skips: {len(report.budget_skips)}"
-        )
-        if report.clean:
-            print("clean: every fiber connected")
-        else:
-            print(f"VIOLATIONS: {len(report.violations)}")
-            for v in report.violations:
-                print(f"  {v.to_json()}")
-    return 0 if report.clean else 2
+        lines.append(f"VIOLATIONS: {len(report.violations)}")
+        lines += [f"  {v.to_json()}" for v in report.violations]
+    return 0 if report.clean else 2, report.to_json(), lines
 
 
 def main(argv=None) -> int:
@@ -263,7 +224,10 @@ def main(argv=None) -> int:
         # usage errors return 1: argparse's 2 means "counterexample found" here
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        code, value, lines = args.func(args)
+        # classify has no --json: its one text line is its JSON
+        print(json.dumps(value) if getattr(args, "json", False) else "\n".join(lines))
+        return code
     except (GraphError, BudgetError, ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc  # unquoted
         print(f"error: {message}", file=sys.stderr)

@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import time
 
 import pytest
 
-from edgepow import BudgetError, corpus, cycle, search_sep_counterexample
+from edgepow import BudgetError, corpus, cycle, fixtures, search_sep_counterexample, toric
 from edgepow.cli import main
 
 
@@ -228,9 +230,17 @@ def test_bad_inputs_exit_1(capsys):
         assert last.startswith("edgepow") and ": error: " in last
 
 
-def test_help_exits_0(capsys):
-    code, out, _ = run(capsys, "search", "--help")
-    assert code == 0 and out.startswith("usage: edgepow")
+COMMANDS = ("delta", "gens", "check", "classify", "search", "repro", "scan-conjecture")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",), *((command, "--help") for command in COMMANDS)],
+    ids=["top", *COMMANDS],
+)
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith(" ".join(("usage: edgepow", *argv[:-1])))
 
 
 def test_graph_file_validation_message(capsys, tmp_path):
@@ -243,3 +253,68 @@ def test_graph_file_validation_message(capsys, tmp_path):
     code, out, err = run(capsys, "gens", str(p), "--caps", "1,1,1")
     assert code == 1 and out == ""
     assert err == "error: edges[0]: non-integer endpoints in [True, 2]\n"
+
+
+# Every subcommand in text and --json modes (classify has no --json), the
+# library errors, and the failure lines of repro and scan-conjecture.
+# argparse usage and --help text stay out: they depend on COLUMNS and on
+# the Python version.
+DIGEST_ARGV = [
+    (*argv, *mode)
+    for argv in (
+        ("delta", "cycle:8", "--caps", "2,1,2,1,1,1,2,1"),
+        ("gens", "template:c3pathpend", "--caps", "1,1,1,2,1,1,1"),
+        ("check", "cycle:8", "--caps", "2,1,2,1,1,1,2,1", "--exchange"),
+        ("check", "cycle:8", "--caps", "2,1,2,1,1,1,2,1", "--symmetric"),
+        ("check", "fixture:c5star", "--caps", "1,1,1,1,1,1,1,1", "--strong"),
+        ("check", "cycle:5", "--caps", "1,1,1,1,1", "--strong"),
+        ("check", "star:3", "--caps", "1,2,1,3", "--veronese"),
+        ("check", "cycle:8", "--caps", "2,1,2,1,1,1,2,1", "--veronese"),
+        ("search", "path:7", "--cap-max", "2"),
+        ("search", "path:6", "--cap-max", "2"),
+        ("repro", "final-example"),
+        ("repro", "--all"),
+        ("repro",),
+        ("scan-conjecture", "--max-n", "4"),
+        ("delta", "cycle:2", "--caps", "1,1"),
+        ("repro", "nosuch"),
+        ("--budget", "1", "scan-conjecture", "--max-n", "4"),
+    )
+    for mode in ((), ("--json",))
+] + [
+    ("classify", "template:c3path3"),
+    ("classify", "fixture:cyc8"),
+]
+FAILING_ARGV = [
+    (*argv, *mode)
+    for argv in (("repro", "cyc8"), ("repro", "--all"), ("scan-conjecture", "--max-n", "4"))
+    for mode in ((), ("--json",))
+]
+
+
+def test_cli_outputs_digest(capsys, monkeypatch):
+    lines = [repr((argv, *run(capsys, *argv))) for argv in DIGEST_ARGV]
+    # cyc8 expects the wrong delta, and every |W| divisible by 3 fails its
+    # fiber check: repro prints FAILED lines and exits 1, the scan prints
+    # VIOLATIONS and exits 2
+    wrong = dataclasses.replace(fixtures.get("cyc8"), delta=5)
+    monkeypatch.setitem(fixtures._BY_NAME, "cyc8", wrong)
+    monkeypatch.setattr(
+        fixtures, "REGISTRY", tuple(wrong if f.name == "cyc8" else f for f in fixtures.REGISTRY)
+    )
+    original = toric.check_fiber_connectivity
+
+    def forced(w, m_max=3, budget=toric.DEFAULT_FIBER_BUDGET):
+        report = original(w, m_max, budget)
+        if len(w.members) % 3:
+            return report
+        failure = (2, tuple(2 * a for a in w.ordered[0]), (1, 1), (1, 1))
+        return toric.ConnectivityReport(False, m_max, report.degrees, 0, failure)
+
+    monkeypatch.setattr(toric, "check_fiber_connectivity", forced)
+    failing = [run(capsys, *argv) for argv in FAILING_ARGV]
+    assert [code for code, _, _ in failing] == [1, 1, 1, 1, 2, 2]
+    assert "FAILED delta: got 4, want 5" in failing[0][1] and "VIOLATIONS" in failing[4][1]
+    lines += [repr((argv, *result)) for argv, result in zip(FAILING_ARGV, failing)]
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "f0033c7c6c2bd9a65fda2e2f711c43f7cd62c935"
