@@ -20,11 +20,9 @@ from .graph import (
 )
 from .powers import (
     BudgetError,
-    EdgeMultiset,
     GeneratorSet,
     PowerEngine,
     delta,
-    edge_decompose,
     enumerate_generators,
     format_monomial,
     member,

@@ -38,6 +38,8 @@ from .powers import (
 def _resolve_graph(arg: str) -> Graph:
     if os.path.exists(arg):
         return load_graph(arg)
+    if os.path.basename(arg) != arg or arg.endswith(".json"):
+        raise GraphError(f"graph file {arg!r} does not exist")
     if arg.startswith("fixture:"):
         return fixtures.graph_of(fixtures.get(arg.split(":", 1)[1]))
     return from_spec(arg)
@@ -113,6 +115,8 @@ def _cmd_search(args):
 
 
 def _cmd_repro(args):
+    if args.all and args.fixture:
+        raise ValueError(f"repro takes a fixture name or --all, not both (got {args.fixture!r})")
     if args.all:
         todo = list(fixtures.REGISTRY)
     elif args.fixture:

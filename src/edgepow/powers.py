@@ -18,7 +18,7 @@ fast at this scale:
 * the bound ``best <= sum(residual) // 2``, which both prunes and lets the
   multiplicity loop stop early once attained.
 
-All three searches step through the same states.  A residual is one int
+Both searches step through the same states.  A residual is one int
 with a 32-bit digit per vertex, vertex 0 in the lowest, as is a product.
 ``_child`` takes edge i t times, ``(res - t * unit) & keep``: t is at most
 min(res[u], res[v]), so nothing borrows, and ``keep`` zeroes the vertices
@@ -40,9 +40,6 @@ is, and expands no child:
 
 At the root this is the perfect c-matching case, 2 * delta = |c|, where W is
 {c}.  Products are unpacked only at the top.
-Decomposition reads the memo greedily: ``need`` edges under caps ``vec``
-have product exactly ``vec``, so at each edge the highest multiplicity
-that leaves ``need`` edges reachable is taken, and never undone.
 """
 from __future__ import annotations
 
@@ -62,22 +59,17 @@ class BudgetError(RuntimeError):
     """A configured work budget was exhausted before the search finished."""
 
 
-def _as_vector(g: Graph, vec, kind: str, name: str, low: int) -> tuple:
-    """``vec`` as a tuple of one int in ``low..MAX_CAP`` per vertex of ``g``."""
-    vec = tuple(vec)
-    if len(vec) != g.n:
-        raise ValueError(f"{kind} vector has length {len(vec)}, graph has {g.n} vertices")
-    for i, e in enumerate(vec):
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise ValueError(f"{name}[{i}] = {e!r} is not an integer")
-        if not low <= e <= MAX_CAP:
-            raise ValueError(f"{name}[{i}] = {e} out of range {low}..{MAX_CAP}")
-    return vec
-
-
 def as_caps(g: Graph, caps) -> tuple:
-    """Validate a cap vector against a graph: positive ints, one per vertex."""
-    return _as_vector(g, caps, "cap", "caps", 1)
+    """Validate a cap vector against a graph: one int in 1..MAX_CAP per vertex."""
+    caps = tuple(caps)
+    if len(caps) != g.n:
+        raise ValueError(f"cap vector has length {len(caps)}, graph has {g.n} vertices")
+    for i, c in enumerate(caps):
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"caps[{i}] = {c!r} is not an integer")
+        if not 1 <= c <= MAX_CAP:
+            raise ValueError(f"caps[{i}] = {c} out of range 1..{MAX_CAP}")
+    return caps
 
 
 def parse_caps(text: str) -> tuple:
@@ -97,17 +89,6 @@ def format_monomial(vec) -> str:
         elif e > 1:
             parts.append(f"x{i + 1}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
-class EdgeMultiset:
-    """Edges with multiplicities; ``counts`` is a sorted tuple of ((u, v), m)."""
-
-    counts: tuple
-
-    @property
-    def size(self) -> int:
-        return sum(m for _, m in self.counts)
 
 
 @dataclass(frozen=True)
@@ -249,31 +230,6 @@ class PowerEngine:
         members = frozenset(vec.unpack(p.to_bytes(vec.size, "little")) for p in tops)
         return GeneratorSet(self.graph, caps, depth, members)
 
-    def decompose(self, vec):
-        """First edge multiset (canonical order, high multiplicities first)
-        whose product is exactly ``vec``, or None.  Greedy over the exact
-        memo, as the module docstring explains: no backtracking."""
-        vec = _as_vector(self.graph, vec, "exponent", "vec", 0)
-        total = sum(vec)
-        if total % 2:
-            raise ValueError(f"degree {total} is odd; no edge multiset can match")
-        need = total // 2
-        res = self._pack(vec)
-        if self._best(0, res) < need:
-            return None
-        chosen = []
-        i = 0
-        while need:
-            su, sv = self._shift[i]
-            for t in range(min(res >> su & _ONES, res >> sv & _ONES, need), -1, -1):
-                child = self._child(i, res, t)
-                if t + self._best(i + 1, child) >= need:
-                    break
-            if t:
-                chosen.append((self.graph.sorted_edges[i], t))
-            i, res, need = i + 1, child, need - t
-        return EdgeMultiset(tuple(chosen))
-
 
 def normalize_caps(g: Graph, caps) -> tuple:
     """Clamp each cap to the sum of its neighbors' caps, swept to a fixpoint.
@@ -301,7 +257,3 @@ def enumerate_generators(g: Graph, caps, node_budget: int = DEFAULT_NODE_BUDGET)
     """All exponent vectors realized by cap-respecting edge multisets of maximum size."""
     return PowerEngine(g, node_budget).generators(caps)
 
-
-def edge_decompose(g: Graph, vec, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Deterministic edge-multiset factorization of an exponent vector, or None."""
-    return PowerEngine(g, node_budget).decompose(vec)

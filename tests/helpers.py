@@ -7,7 +7,6 @@ from math import comb
 
 from edgepow import (
     BudgetError,
-    EdgeMultiset,
     ExchangeReport,
     ExchangeWitness,
     GeneratorSet,
@@ -234,21 +233,21 @@ def validate_generator_set(gens: GeneratorSet) -> None:
     """Re-check the defining invariants of a GeneratorSet (for tests)."""
     if gens.delta >= 1 and not gens.members:
         raise AssertionError("nonzero top degree but no generators")
-    engine = PowerEngine(gens.graph)
     for mvec in gens.members:
         if sum(mvec) != 2 * gens.delta:
             raise AssertionError(f"{mvec} has degree {sum(mvec)} != 2*{gens.delta}")
         if any(e > c for e, c in zip(mvec, gens.caps)):
             raise AssertionError(f"{mvec} exceeds caps {gens.caps}")
-        ems = engine.decompose(mvec)
-        if ems is None or ems.size != gens.delta:
+        if reference_decompose(gens.graph, mvec) is None:
             raise AssertionError(f"{mvec} is not a product of {gens.delta} edges")
 
 
 def reference_decompose(g: Graph, vec):
-    """``edge_decompose`` by brute force: the first multiplicity tuple, each
-    edge's count running high to low in lexicographic edge order, whose
-    edges number |vec|/2 and multiply to ``vec``; None if there is none."""
+    """An edge factorisation of ``vec`` by brute force, independent of the
+    engine: the first multiplicity tuple, each edge's count running high to
+    low in lexicographic edge order, whose edges number |vec|/2 and multiply
+    to ``vec``, as ``((edge, count), ...)`` without zero counts; None if
+    there is none."""
     n = g.n
     edges = g.sorted_edges
     need = sum(vec) // 2
@@ -261,7 +260,7 @@ def reference_decompose(g: Graph, vec):
             prod[u - 1] += t
             prod[v - 1] += t
         if tuple(prod) == tuple(vec):
-            return EdgeMultiset(tuple((e, t) for e, t in zip(edges, counts) if t))
+            return tuple((e, t) for e, t in zip(edges, counts) if t)
     return None
 
 

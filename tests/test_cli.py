@@ -141,6 +141,12 @@ def test_repro_single_and_unknown(capsys):
     assert code == 1 and err.startswith("error: unknown fixture 'nosuch'")
 
 
+def test_repro_name_with_all_refused(capsys):
+    code, out, err = run(capsys, "repro", "cyc8", "--all")
+    assert (code, out) == (1, "")
+    assert err == "error: repro takes a fixture name or --all, not both (got 'cyc8')\n"
+
+
 def test_repro_all_json(capsys):
     code, out, _ = run(capsys, "repro", "--all", "--json")
     assert code == 0
@@ -216,7 +222,9 @@ def test_bad_inputs_exit_1(capsys):
     code, _, err = run(capsys, "delta", "cycle:4", "--caps", "1,1")
     assert code == 1 and "cap vector" in err
     code, _, err = run(capsys, "delta", "nosuchfile.json", "--caps", "1,1")
-    assert code == 1
+    assert (code, err) == (1, "error: graph file 'nosuchfile.json' does not exist\n")
+    code, _, err = run(capsys, "delta", "no/such/graph", "--caps", "1,1")
+    assert (code, err) == (1, "error: graph file 'no/such/graph' does not exist\n")
     # argparse usage errors exit 1 too; 2 means "counterexample found"
     for argv in (
         ("search", "cycle:5", "--cap-max", "x"),

@@ -6,12 +6,13 @@ import pytest
 
 from edgepow import (
     BudgetError,
+    GeneratorSet,
     PowerEngine,
     check_strong_exchange,
     cycle,
     delta,
-    edge_decompose,
     enumerate_generators,
+    fixtures,
     format_monomial,
     from_spec,
     graph_from_edges,
@@ -176,65 +177,39 @@ def test_members_degree_and_caps_invariant():
         validate_generator_set(w)
 
 
+def test_validate_generator_set_refuses_a_non_product():
+    # the fixture's non-member has degree 2 * delta and fits under the caps,
+    # so only the edge factorisation can tell it is no product of edges
+    fixture = fixtures.get("c3fork")
+    g = fixtures.graph_of(fixture)
+    vec = fixture.non_members[0]
+    assert (fixture.caps, fixture.delta, vec) == ((1,) * 6, 2, (0, 0, 1, 1, 1, 1))
+    validate_generator_set(enumerate_generators(g, fixture.caps))
+    forged = GeneratorSet(g, fixture.caps, fixture.delta, frozenset({vec}))
+    with pytest.raises(AssertionError, match=r"is not a product of 2 edges"):
+        validate_generator_set(forged)
+
+
 def test_ordered_is_descending_lex():
     w = enumerate_generators(template("c3pathpend"), (1, 1, 1, 2, 1, 1, 1))
     assert list(w.ordered) == sorted(w.members, reverse=True)
 
 
-# --- decomposition
-
-def test_decompose_single_edge():
-    ems = edge_decompose(K2, (1, 1))
-    assert ems.counts == (((1, 2), 1),)
-    assert ems.size == 1
-
-
-def test_decompose_absent():
-    assert edge_decompose(template("c3fork"), (0, 0, 1, 1, 1, 1)) is None
-
-
-def test_decompose_present_and_deterministic():
-    g = template("c3pathpend")
-    vec = (1, 0, 1, 0, 1, 1, 0)  # (x1x3)(x5x6)
-    ems = edge_decompose(g, vec)
-    assert ems is not None and ems.counts == (((1, 3), 1), ((5, 6), 1))
-    assert ems == edge_decompose(g, vec)
-
-
-def test_decompose_odd_degree_rejected():
-    with pytest.raises(ValueError, match="odd"):
-        edge_decompose(K2, (1, 0))
-
-
-def test_decompose_refuses_entries_out_of_range():
-    # a 10^9 exponent used to mean a 10^9-step multiplicity loop
-    with pytest.raises(ValueError, match=r"^vec\[0\] = 1000000000 out of range 0\.\.32768$"):
-        edge_decompose(path(3), (10 ** 9, 10 ** 9, 2))
-    with pytest.raises(ValueError, match=r"^vec\[1\] = -1 out of range 0\.\.32768$"):
-        edge_decompose(path(3), (1, -1, 2))
-    with pytest.raises(ValueError, match="not an integer"):
-        edge_decompose(K2, (1.0, 1))
-    with pytest.raises(ValueError, match=r"^vec\[0\] = True is not an integer$"):
-        edge_decompose(path(2), (True, True))
-    assert edge_decompose(K2, (MAX_CAP, MAX_CAP)).counts == (((1, 2), MAX_CAP),)
-
+# --- packed states and membership
 
 def test_packed_states_at_the_bounds():
     # 32 vertices at cap MAX_CAP: a digit sum reaches 32 * MAX_CAP = 2**20,
     # which the mod (2**32 - 1) digit sum must still read exactly
     top = (MAX_CAP,) * 32
-    alternate = tuple(((k, k + 1), MAX_CAP) for k in range(1, 32, 2))
     for g in (path(32), cycle(32)):
         engine = PowerEngine(g)
         assert engine.delta(top) == 16 * MAX_CAP == 524288
         w = engine.generators(top)
         assert (w.delta, w.members) == (16 * MAX_CAP, {top})
-        assert engine.decompose(top).counts == alternate
     # star:31 with leaf caps summing to the centre's MAX_CAP: tight, W = {c}
     caps = (1057,) * 30 + (1058, MAX_CAP)
     engine = PowerEngine(star(31))
     assert engine.generators(caps).members == {caps}
-    assert engine.decompose(caps).counts == tuple(((k, 32), caps[k - 1]) for k in range(1, 32))
     # a root that is not tight, with cap sum 2**16 + 5: x1^(C - b) x2^b x3^C
     caps = (MAX_CAP, 5, MAX_CAP)
     engine = PowerEngine(star(2))
@@ -242,20 +217,6 @@ def test_packed_states_at_the_bounds():
     assert w.delta == MAX_CAP and 2 * w.delta < sum(caps)
     assert w.members == {(MAX_CAP - b, b, MAX_CAP) for b in range(6)}
     assert w.members == reference_generators(star(2), caps).members
-    assert engine.decompose((MAX_CAP - 2, 2, MAX_CAP)).counts == (
-        ((1, 3), MAX_CAP - 2),
-        ((2, 3), 2),
-    )
-
-
-def test_decompose_agrees_with_membership():
-    rng = random.Random(17)
-    g = random_connected_graph(rng, n_max=6)
-    caps = random_caps(rng, g.n, cap_max=2)
-    w = enumerate_generators(g, caps)
-    for vec in w.members:
-        ems = edge_decompose(g, vec)
-        assert ems is not None and ems.size == w.delta
 
 
 def test_membership_equals_capped_decomposability():
@@ -271,29 +232,9 @@ def test_membership_equals_capped_decomposability():
         for vec in iproduct(*(range(c + 1) for c in caps)):
             expected = (
                 sum(vec) == 2 * w.delta
-                and edge_decompose(g, vec) is not None
+                and reference_decompose(g, vec) is not None
             )
             assert member(w, vec) == expected
-
-
-def test_decompose_matches_brute_force_reference():
-    # Members of W and random even-degree vectors, most of which are not
-    # products of edges.
-    rng = random.Random(23)
-    pairs = nones = 0
-    while pairs < 320:
-        g = random_connected_graph(rng, n_max=6, extra_max=2)
-        vecs = sorted(enumerate_generators(g, random_caps(rng, g.n, 2)).members)[:2]
-        for _ in range(2):
-            vec = [rng.randint(0, 2) for _ in range(g.n)]
-            vec[0] += sum(vec) % 2
-            vecs.append(tuple(vec))
-        for vec in vecs:
-            got = edge_decompose(g, vec)
-            assert got == reference_decompose(g, vec), (g.sorted_edges, vec)
-            pairs += 1
-            nones += got is None
-    assert nones >= 50
 
 
 # --- oracle agreement
