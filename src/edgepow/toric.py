@@ -30,6 +30,33 @@ vectors once, with digits for degree m_max, and every degree, a failing
 one's fiber groups included, sums those same ints; products and multisets
 are unpacked only for a failure witness and by ``fibers``.
 
+Past degree 2 the check needs no union-find when W is sortable and its
+members share one total degree.  Write the product of u, v in W as
+x_{k1} x_{k2} ... x_{k2d} with k1 <= ... <= k2d; then sort(u, v) is
+(x_{k1} x_{k3} ..., x_{k2} x_{k4} ...), and W is sortable when sort(u, v)
+is in W x W for all u, v in W.  The sorting binomials z_u z_v - z_u' z_v',
+(u', v') = sort(u, v), then form a Groebner basis of the toric ideal I_W
+(Sturmfels, Groebner Bases and Convex Polytopes, 1996, Thm 14.2).  Degree
+2 must pass first: {u, v} and {u', v'} lie in one degree-2 fiber, and a
+sorting binomial is a sum of quadrics exactly when a chain of quadric
+moves joins them.  Once every degree-2 fiber is connected the quadrics
+contain a Groebner basis of I_W, so they generate it, and every fiber of
+every degree is connected (Diaconis-Sturmfels 1998, the fundamental
+theorem of Markov bases).  Each later degree then reports its counts from
+its ``Counter`` alone, after the same budget test.  A W that is not
+sortable in the natural variable order, or has members of several total
+degrees, takes the union-find.
+
+sort(u, v) depends only on p = u + v, so ``_sortable`` tests each key of
+degree 2's ``Counter`` once.  Digit t of a sorted half is floor(p_t / 2),
+rounded up in the 1st, 3rd, ... digit from coordinate 0 where p_t is odd,
+since an odd run of x_t flips the parity of the positions after it; one
+total degree makes the odd digits even in number, so the halves take half
+of them each.  The packed halves never carry or borrow: p_t < 2^bits, so
+(p >> 1) moves the low bit of each digit into the top bit of the digit
+below, which the mask clears; rounding up adds the low bit of an odd
+digit, giving at most p_t; and p - half takes at most p_t from each digit.
+
 ``conjecture_scan`` walks each graph's caps through ``exchange.cap_grid``,
 the walk the strong-exchange counterexample search shares, with its bounds;
 ``check_unicyclic_scan`` holds every bound of a scan of the unicyclic corpus.
@@ -118,6 +145,26 @@ def _multiset(key: int, s: int, top: int) -> tuple:
 
 def _product_bits(ws, m: int) -> int:
     return (m * max(map(max, ws))).bit_length()
+
+
+def _sortable(products, sums, bits: int, n: int) -> bool:
+    """Whether sort(u, v) lies in W x W for each packed product p = u + v in
+    ``sums``, W packed as ``products`` at ``bits``-bit digits over n
+    coordinates (module docstring)."""
+    members = set(products)
+    ones = _pack((1,) * n, bits)
+    low = ones * (((1 << bits) - 1) >> 1)  # every bit of a digit but its top one
+    for p in sums:
+        half = (p >> 1) & low  # floor(p_t / 2) in each digit t
+        odd = p & ones
+        while odd:  # round up the 1st, 3rd, ... odd digit from coordinate 0
+            top = 1 << (odd.bit_length() - 1)
+            half += top
+            odd ^= top
+            odd ^= 1 << (odd.bit_length() - 1)
+        if half not in members or p - half not in members:
+            return False
+    return True
 
 
 @dataclass(frozen=True, order=True)
@@ -283,6 +330,7 @@ def check_fiber_connectivity(
     bins = sym_exchange_binomials(w)
     ws = _ordered_members(w)
     s = len(ws)
+    n = len(ws[0])
     units = _units(s, m_max)
     bits = _product_bits(ws, m_max)
     products = [_pack(vec, bits) for vec in ws]
@@ -300,28 +348,33 @@ def check_fiber_connectivity(
     checks = []
     for m in range(2, m_max + 1):
         count = _multisets(s, m, budget)
-        parent = {}
-        for p, q in joins:
-            ra = find(p)
-            rb = find(q)
-            if ra != rb:
-                parent[ra] = rb
         sizes = Counter(map(sum, combinations_with_replacement(products, m)))
-        if count - len(parent) > len(sizes):  # some fiber holds two classes
-            groups = _fiber_groups(products, units, m)
-            shared = sorted(prod for prod, nodes in groups.items() if len(nodes) > 1)
-            for nontrivial, prod in enumerate(shared, 1):
-                # nodes come in their index tuples' order: b is the least outside a's class
-                a, *rest = groups[prod]
-                root = find(a)
-                b = next((node for node in rest if find(node) != root), None)
-                if b is not None:
-                    checks.append(FiberCheck(m, len(groups), nontrivial, False))
-                    prod = _unpack(prod, bits, len(ws[0]))
-                    failure = (m, prod, _multiset(a, s, m_max), _multiset(b, s, m_max))
-                    return ConnectivityReport(False, m_max, tuple(checks), len(bins), failure)
+        if joins is not None:  # None once a sortable W passed degree 2 (module docstring)
+            parent = {}
+            for p, q in joins:
+                ra = find(p)
+                rb = find(q)
+                if ra != rb:
+                    parent[ra] = rb
+            if count - len(parent) > len(sizes):  # some fiber holds two classes
+                groups = _fiber_groups(products, units, m)
+                shared = sorted(prod for prod, nodes in groups.items() if len(nodes) > 1)
+                for nontrivial, prod in enumerate(shared, 1):
+                    # nodes come in their index tuples' order: b is the least outside a's class
+                    a, *rest = groups[prod]
+                    root = find(a)
+                    b = next((node for node in rest if find(node) != root), None)
+                    if b is not None:
+                        checks.append(FiberCheck(m, len(groups), nontrivial, False))
+                        prod = _unpack(prod, bits, n)
+                        failure = (m, prod, _multiset(a, s, m_max), _multiset(b, s, m_max))
+                        return ConnectivityReport(False, m_max, tuple(checks), len(bins), failure)
         checks.append(FiberCheck(m, len(sizes), len(sizes) - countOf(sizes.values(), 1), True))
-        if m < m_max:
+        if joins is None or m == m_max:
+            continue
+        if m == 2 and len(set(map(sum, ws))) == 1 and _sortable(products, sizes, bits, n):
+            joins = None
+        else:
             # parent's keys are the non-roots; a list of joins would raise peak RSS
             roots = [(x, find(x)) for x in parent]
             joins = ((x + u, r + u) for x, r in roots for u in units)

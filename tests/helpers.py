@@ -229,6 +229,28 @@ def reference_fiber_connectivity(w, m_max: int = 3) -> ConnectivityReport:
     return ConnectivityReport(True, m_max, tuple(checks), len(bins))
 
 
+def reference_sortable(w) -> bool:
+    """Sortability in the natural variable order, by Sturmfels' definition:
+    for all u, v in W, write out the variables of u*v in ascending order,
+    x_{k1} <= x_{k2} <= ..., and split the list into the variables at odd
+    and at even positions; both halves must be members of W.
+
+    W is first translated by its componentwise minimum a, which keeps the
+    answer: u*v gains x_t^{2 a_t}, an even run that keeps the parity of
+    every later position and adds a_t to each half.  So the written lists
+    stay short at exponents up to MAX_CAP."""
+    ws = _member_set(w)
+    low = tuple(map(min, zip(*ws)))
+    ws = {tuple(a - b for a, b in zip(vec, low)) for vec in ws}
+    n = len(low)
+    for u, v in combinations_with_replacement(sorted(ws), 2):
+        word = [t for t in range(n) for _ in range(u[t] + v[t])]
+        for half in (word[0::2], word[1::2]):
+            if tuple(half.count(t) for t in range(n)) not in ws:
+                return False
+    return True
+
+
 def validate_generator_set(gens: GeneratorSet) -> None:
     """Re-check the defining invariants of a GeneratorSet (for tests)."""
     if gens.delta >= 1 and not gens.members:

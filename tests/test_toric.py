@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -31,6 +32,7 @@ from helpers import (
     reference_conjecture_scan,
     reference_fiber_connectivity,
     reference_fibers,
+    reference_sortable,
 )
 
 K2 = graph_from_edges(2, [(1, 2)])
@@ -307,6 +309,119 @@ def test_connectivity_budget_checked_before_union_find(monkeypatch):
     with pytest.raises(BudgetError):
         check_fiber_connectivity(FINAL_W, 3, budget=30)
     assert enumerated == [2]
+
+
+def _packed_sortable(w, m):
+    """``toric._sortable`` on W packed as ``check_fiber_connectivity(w, m)`` packs it."""
+    ws = toric._ordered_members(w)
+    bits = toric._product_bits(ws, m)
+    products = [toric._pack(vec, bits) for vec in ws]
+    sums = set(map(sum, combinations_with_replacement(products, 2)))
+    return toric._sortable(products, sums, bits, len(ws[0]))
+
+
+@pytest.mark.parametrize("draw", [random_member_set, random_wide_member_set])
+def test_sortable_matches_the_tuple_reference(draw):
+    rng = random.Random(83)
+    outcomes = Counter()
+    edges = set()
+    lengths = set()
+    for _ in range(300):
+        w = draw(rng)
+        got = _packed_sortable(w, rng.randint(2, 4))
+        assert got == reference_sortable(w), w
+        outcomes[got, len(w) > 1] += 1
+        top = max(map(max, w))
+        edges.add((top == MAX_CAP, top & (top - 1) == 0, top & (top + 1) == 0))
+        lengths.add(len(next(iter(w))))
+    # of the sets of two or more members, 98 member and 155 wide draws are
+    # sortable, 175 and 113 not
+    assert outcomes[True, True] >= 50 and outcomes[False, True] >= 50
+    if draw is random_wide_member_set:
+        # largest exponent at MAX_CAP, at a power of two, or just below one
+        assert {(True, True, False), (False, True, False), (False, False, True)} <= edges
+        assert max(lengths) == 32
+
+
+def _record_sortable(monkeypatch) -> list:
+    """Patch ``toric._sortable`` to append each of its answers to the returned list."""
+    answers = []
+    sortable = toric._sortable
+
+    def recording(*args):
+        answers.append(sortable(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(toric, "_sortable", recording)
+    return answers
+
+
+def test_sortable_and_connected_in_degree_2_is_connected_in_every_degree(monkeypatch):
+    # the certificate (toric docstring) on 1000 draws, against the reference
+    # search; a draw counted under (True, False) would refute it
+    answers = _record_sortable(monkeypatch)
+    rng = random.Random(89)
+    tally = Counter()
+    for _ in range(1000):
+        w = random_member_set(rng)
+        m = rng.randint(3, 5)
+        want = reference_fiber_connectivity(w, m)
+        assert check_fiber_connectivity(w, m) == want
+        if want.degrees[0].connected:
+            tally[reference_sortable(w), want.ok] += 1
+    # 437 sortable and 446 not among the draws that pass degree 2; of the
+    # latter, 143 fail in a later degree
+    assert tally[True, False] == 0
+    assert tally[True, True] >= 300 and tally[False, False] >= 100
+    assert answers.count(True) == tally[True, True] and answers.count(False) >= 300
+
+
+def test_forced_fallback_keeps_every_report(monkeypatch):
+    def scan_reports():
+        reports = []
+        conjecture_scan(
+            corpus.unicyclic_up_to(5),
+            on_instance=lambda gi, caps, report: reports.append((gi, caps, report)),
+        )
+        heavy = PowerEngine(corpus.unicyclic_up_to(7)[47]).generators((3,) * 7)
+        return reports, check_fiber_connectivity(heavy, 3)
+
+    answers = _record_sortable(monkeypatch)
+    certified = scan_reports()
+    assert answers.count(True) >= 10 and answers[-1]  # the heavy cell is sortable
+    monkeypatch.setattr(toric, "_sortable", lambda *args: False)
+    assert scan_reports() == certified
+
+
+def test_mixed_degrees_take_the_union_find(monkeypatch):
+    def unconsulted(*args):
+        raise AssertionError("_sortable was consulted")
+
+    monkeypatch.setattr(toric, "_sortable", unconsulted)
+    # degrees 2 and 3: degree 2 passes with a non-trivial fiber, degree 3 fails
+    w = {(0, 2), (0, 3), (1, 1), (1, 2), (3, 0)}
+    report = check_fiber_connectivity(w, 3)
+    assert report == reference_fiber_connectivity(w, 3)
+    assert report.degrees[0].nontrivial_count and report.failure[0] == 3
+
+
+def test_a_sortable_set_makes_no_degree_3_join(monkeypatch):
+    # the only pass over the unit vectors is the degree-(m+1) join generator
+    passes = []
+
+    class Units(list):
+        def __iter__(self):
+            passes.append(len(self))
+            return super().__iter__()
+
+    units = toric._units
+    monkeypatch.setattr(toric, "_units", lambda s, m: Units(units(s, m)))
+    assert reference_sortable(FINAL_W) and check_fiber_connectivity(FINAL_W, 3).ok
+    assert passes == []
+    # not sortable, connected in degree 2: its degree-3 joins are derived
+    w = {(3, 1), (2, 2), (0, 4)}
+    assert not reference_sortable(w) and check_fiber_connectivity(w, 3).failure[0] == 3
+    assert passes
 
 
 def test_conjecture_scan_records_budget_skips():
