@@ -4,7 +4,9 @@ Index the generators z_1..z_s by the largest-first ordering of the member
 list.  A symmetric exchange between members u = w_i and v = w_j at a pair
 of variables (one up in u, one down) lands on two other members w_i0, w_j0
 with w_i * w_j = w_i0 * w_j0; the quadratic relation z_i z_j - z_i0 z_j0 is
-recorded in canonical form.
+recorded in canonical form.  So ``_quadrics`` swaps only the pairs i < j
+whose product another pair shares, as degree 2's ``Counter`` tells; (rho,
+xi) on (w_j, w_i) lands where (xi, rho) on (w_i, w_j) does.
 
 Whether these quadrics generate the toric ideal through degree m is
 equivalent to connectivity of every degree-m fiber, the m-multisets of
@@ -28,7 +30,10 @@ of the tuples.  A multiset of generator indices packs as its count vector
 (index 1 highest), so x+u is one add.  One check packs products and count
 vectors once, with digits for degree m_max, and every degree, a failing
 one's fiber groups included, sums those same ints; products and multisets
-are unpacked only for a failure witness and by ``fibers``.
+are unpacked only for a failure witness and by ``fibers``.  A swap adds
+e_rho - e_xi to one packed member and subtracts it from the other with no
+carry or borrow at the check's width, or any that holds the largest
+exponent: u[xi] >= 1 for xi in ups, and u[rho] < v[rho] for rho in downs.
 
 Past degree 2 the check needs no union-find when W is sortable and its
 members share one total degree.  Write the product of u, v in W as
@@ -183,27 +188,16 @@ class SymExchangeBinomial:
         return (self.i, self.j), (self.i0, self.j0)
 
 
-def sym_exchange_binomials(w) -> tuple:
-    """All canonical symmetric exchange quadrics of a generator set.
-
-    Only pairs i < j are visited: the swap (xi, rho) on (w_i, w_j) lands on
-    the same pair of members as the swap (rho, xi) on (w_j, w_i).  Members
-    are packed with digits as wide as the largest exponent; a swap adds
-    e_rho - e_xi to one packed member and subtracts it from the other, and
-    never carries or borrows, since xi in ups gives u[xi] >= 1 and rho in
-    downs gives u[rho] < v[rho] <= the largest exponent.
-    """
-    ws = _ordered_members(w)
-    n = len(ws[0])
-    bits = max(map(max, ws)).bit_length()
-    weight = [1 << (bits * t) for t in range(n - 1, -1, -1)]
-    packed = [_pack(vec, bits) for vec in ws]
-    index = {key: k for k, key in enumerate(packed, 1)}
+def _quadrics(ws, products, bits: int, sizes) -> set:
+    """0-based (i, j, k, l) of each canonical quadric z_i z_j - z_k z_l of ``ws``,
+    packed as ``products``; ``sizes`` counts degree 2's products (module docstring)."""
+    weight = [1 << (bits * t) for t in range(len(ws[0]) - 1, -1, -1)]
+    index = {key: k for k, key in enumerate(products)}
+    pairs = combinations(enumerate(products), 2)
+    shared = [(i, pu, j, pv) for (i, pu), (j, pv) in pairs if sizes[pu + pv] > 1]
     out = set()
-    # _moves visits the pairs of combinations(ws, 2) in this same order
-    pairs = combinations(tuple(enumerate(packed, 1)), 2)
-    for ((i, pu), (j, pv)), (_, _, ups, downs) in zip(
-        pairs, _moves(combinations(ws, 2))
+    for (i, pu, j, pv), (_, _, ups, downs) in zip(
+        shared, _moves((ws[i], ws[j]) for i, _, j, _ in shared)
     ):
         for xi in ups:
             for rho in downs:
@@ -215,7 +209,17 @@ def sym_exchange_binomials(w) -> tuple:
                 q = (ia, ib) if ia < ib else (ib, ia)
                 if q != (i, j):
                     out.add((i, j) + q if (i, j) < q else q + (i, j))
-    return tuple(SymExchangeBinomial(*quad) for quad in sorted(out))
+    return out
+
+
+def sym_exchange_binomials(w) -> tuple:
+    """All canonical symmetric exchange quadrics of a generator set, sorted."""
+    ws = _ordered_members(w)
+    bits = _product_bits(ws, 2)
+    products = [_pack(vec, bits) for vec in ws]
+    sizes = Counter(map(sum, combinations_with_replacement(products, 2)))
+    quads = sorted(_quadrics(ws, products, bits, sizes))
+    return tuple(SymExchangeBinomial(*(k + 1 for k in quad)) for quad in quads)
 
 
 @dataclass(frozen=True)
@@ -327,17 +331,12 @@ def check_fiber_connectivity(
     kernel binomial that the quadrics do not generate.
     """
     check_m_max(m_max)
-    bins = sym_exchange_binomials(w)
     ws = _ordered_members(w)
     s = len(ws)
     n = len(ws[0])
     units = _units(s, m_max)
     bits = _product_bits(ws, m_max)
     products = [_pack(vec, bits) for vec in ws]
-    joins = [
-        (units[b.i - 1] + units[b.j - 1], units[b.i0 - 1] + units[b.j0 - 1])
-        for b in bins
-    ]
 
     def find(x):
         # path halving: point x at its grandparent, then move x there
@@ -349,6 +348,9 @@ def check_fiber_connectivity(
     for m in range(2, m_max + 1):
         count = _multisets(s, m, budget)
         sizes = Counter(map(sum, combinations_with_replacement(products, m)))
+        if m == 2:
+            quads = _quadrics(ws, products, bits, sizes)
+            joins = [(units[i] + units[j], units[k] + units[l]) for i, j, k, l in quads]
         if joins is not None:  # None once a sortable W passed degree 2 (module docstring)
             parent = {}
             for p, q in joins:
@@ -368,7 +370,7 @@ def check_fiber_connectivity(
                         checks.append(FiberCheck(m, len(groups), nontrivial, False))
                         prod = _unpack(prod, bits, n)
                         failure = (m, prod, _multiset(a, s, m_max), _multiset(b, s, m_max))
-                        return ConnectivityReport(False, m_max, tuple(checks), len(bins), failure)
+                        return ConnectivityReport(False, m_max, tuple(checks), len(quads), failure)
         checks.append(FiberCheck(m, len(sizes), len(sizes) - countOf(sizes.values(), 1), True))
         if joins is None or m == m_max:
             continue
@@ -378,7 +380,7 @@ def check_fiber_connectivity(
             # parent's keys are the non-roots; a list of joins would raise peak RSS
             roots = [(x, find(x)) for x in parent]
             joins = ((x + u, r + u) for x, r in roots for u in units)
-    return ConnectivityReport(True, m_max, tuple(checks), len(bins))
+    return ConnectivityReport(True, m_max, tuple(checks), len(quads))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -33,6 +33,7 @@ from helpers import (
     reference_fiber_connectivity,
     reference_fibers,
     reference_sortable,
+    reference_sym_exchange_binomials,
 )
 
 K2 = graph_from_edges(2, [(1, 2)])
@@ -244,7 +245,10 @@ def test_packed_kernel_matches_tuple_reference_at_width_edges():
         edges.add((top == MAX_CAP, top & (top - 1) == 0, top & (top + 1) == 0))
         lengths.add(len(next(iter(w))))
         bins = sym_exchange_binomials(w)
-        assert bins == reference_binomials(w)
+        assert bins == reference_binomials(w) == reference_sym_exchange_binomials(w)
+        # the wrapper packs at degree-2 digits, the check at degree-k digits
+        for k in range(2, 5):
+            assert check_fiber_connectivity(w, k).binomial_count == len(bins)
         level = fibers(w, m)
         assert level == reference_fibers(w, m)
         got = check_fiber_connectivity(w, m).to_json()
@@ -309,6 +313,57 @@ def test_connectivity_budget_checked_before_union_find(monkeypatch):
     with pytest.raises(BudgetError):
         check_fiber_connectivity(FINAL_W, 3, budget=30)
     assert enumerated == [2]
+
+
+def _record_moves(monkeypatch) -> list:
+    """Patch ``toric._moves`` to append each pair (u, v) it yields to the returned list."""
+    pairs = []
+    moves = toric._moves
+
+    def recording(it):
+        for u, v, ups, downs in moves(it):
+            pairs.append((u, v))
+            yield u, v, ups, downs
+
+    monkeypatch.setattr(toric, "_moves", recording)
+    return pairs
+
+
+def test_connectivity_budget_checked_before_any_quadric_work(monkeypatch):
+    pairs = _record_moves(monkeypatch)
+    with pytest.raises(BudgetError, match="21 degree-2 multisets exceed the fiber budget 10"):
+        check_fiber_connectivity(FINAL_W, 3, budget=10)
+    assert pairs == []
+    # degree 2 fits: the swap loop runs, then degree 3 (56 multisets) is refused
+    with pytest.raises(BudgetError, match="56 degree-3"):
+        check_fiber_connectivity(FINAL_W, 3, budget=30)
+    assert pairs
+
+
+def test_swap_loop_skips_singleton_fibers(monkeypatch):
+    # a quadric's two sides share their product, so a pair alone in its
+    # degree-2 fiber is never swapped
+    pairs = _record_moves(monkeypatch)
+    checked = skipping = swapped = total = 0
+    for g in corpus.unicyclic_up_to(5):
+        for caps, gens, sigma in cap_grid(g, 2):
+            if sigma is not None:
+                continue
+            ws = gens.ordered
+            sizes = Counter(
+                tuple(map(sum, zip(u, v))) for u, v in combinations_with_replacement(ws, 2)
+            )
+            pairs.clear()
+            assert check_fiber_connectivity(gens, 3) == reference_fiber_connectivity(gens, 3)
+            assert all(sizes[tuple(map(sum, zip(u, v)))] > 1 for u, v in pairs)
+            assert set(pairs) <= set(combinations(ws, 2))
+            checked += 1
+            skipping += len(pairs) < comb(len(ws), 2)
+            swapped += len(pairs)
+            total += comb(len(ws), 2)
+    # 87 computed cells of the scan5 corpus at caps <= 2; 55 skip a pair, and
+    # 72 of their 302 pairs are swapped
+    assert checked >= 80 and skipping >= 40 and swapped < total // 2
 
 
 def _packed_sortable(w, m):
