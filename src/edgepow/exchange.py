@@ -1,5 +1,9 @@
 """Exchange-property checkers and Veronese-type detection.
 
+Every check here and in ``toric`` reads W through one gate, ``_member_set``:
+a non-empty ``GeneratorSet`` from the engine, or a non-empty set of vectors
+of one positive length, each entry an int >= 0 (not a bool); else ValueError.
+
 All three properties quantify over ordered pairs (u, v) of generators and
 variable indices xi, rho with u[xi] > v[xi] and u[rho] < v[rho]:
 
@@ -73,7 +77,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .graph import Graph, check_vertices, lex_leader
+from .graph import Graph, _is_int, check_vertices, lex_leader
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, PowerEngine
 # perfbench/spans.py patches normalize_caps by name here
 from .powers import normalize_caps  # noqa: F401
@@ -85,15 +89,20 @@ STRONG = "strong"
 GRID_LIMIT = 2_000_000
 
 
-def _member_set(w):
+def _member_set(w) -> frozenset:
     if isinstance(w, GeneratorSet):
         mem = w.members
     else:
-        mem = frozenset(tuple(v) for v in w)
+        mem = frozenset(map(tuple, w))
+        if len(set(map(len, mem))) > 1:
+            raise ValueError("generators have mixed lengths")
+        entries = [a for vec in mem for a in vec]
+        if () in mem or not all(map(_is_int, entries)):
+            raise ValueError("exponent vectors need one or more coordinates, ints but not bools")
+        if min(entries, default=0) < 0:
+            raise ValueError("exponent vectors must be non-negative")
     if not mem:
         raise ValueError("generator set is empty")
-    if len(set(map(len, mem))) != 1:
-        raise ValueError("generators have mixed lengths")
     return mem
 
 

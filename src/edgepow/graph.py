@@ -44,8 +44,8 @@ def check_vertices(n: int) -> None:
         )
 
 
-def _is_label(x) -> bool:
-    """An int but not a bool, which would write back as ``true``."""
+def _is_int(x) -> bool:
+    """An int but not a bool (``true`` in JSON): a label, cap or exponent."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -68,7 +68,7 @@ class Graph:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise GraphError(f"edge {e!r} is not a pair")
             u, v = e
-            if not (_is_label(u) and _is_label(v)):
+            if not (_is_int(u) and _is_int(v)):
                 raise GraphError(f"edge {e!r} has non-integer endpoints")
             if not (1 <= u < v <= self.n):
                 raise GraphError(
@@ -117,7 +117,7 @@ class Graph:
         return (u, v) in self.edges
 
     def _check_vertex(self, v: int):
-        if not (_is_label(v) and 1 <= v <= self.n):
+        if not (_is_int(v) and 1 <= v <= self.n):
             raise GraphError(f"vertex {v!r} out of range 1..{self.n}")
 
     def to_json(self) -> dict:
@@ -136,7 +136,7 @@ def graph_from_edges(n: int, edges) -> Graph:
             u, v = e
         except (TypeError, ValueError):
             raise GraphError(f"edges[{pos}]: {e!r} is not a pair") from None
-        if not (_is_label(u) and _is_label(v)):
+        if not (_is_int(u) and _is_int(v)):
             raise GraphError(f"edges[{pos}]: non-integer endpoints in {e!r}")
         if u == v:
             raise GraphError(f"edges[{pos}]: loop at vertex {u}")
@@ -530,24 +530,20 @@ def lex_leader(g: Graph):
     """A test that returns None for a cap vector that no found automorphism
     maps to a lex-smaller one, and else the first automorphism sigma,
     0-based, with caps o sigma lex-smaller (the ``exchange`` docstring
-    shows why the cap-grid walk may skip such a vector).  Nothing is
-    computed for the first vector, which is constant; a vector whose caps
-    ascend within every colour class (``_colours``) is least in its orbit,
-    so only consecutive members of a class are compared until the
+    shows why the cap-grid walk may skip such a vector).  A vector whose
+    caps ascend within every colour class (``_colours``) is least in its
+    orbit, so only consecutive members of a class are compared until the
     automorphisms are needed."""
-    colours = runs = perms = None
+    colours = _colours(g)
+    last, runs = {}, []
+    for v, c in enumerate(colours):
+        if c in last:
+            runs.append((last[c], v))
+        last[c] = v
+    perms = None
 
     def leader(caps):
-        nonlocal colours, runs, perms
-        if runs is None:
-            if min(caps) == max(caps):
-                return None
-            colours = _colours(g)
-            last, runs = {}, []
-            for v, c in enumerate(colours):
-                if c in last:
-                    runs.append((last[c], v))
-                last[c] = v
+        nonlocal perms
         for a, b in runs:
             if caps[a] > caps[b]:
                 break
@@ -555,8 +551,6 @@ def lex_leader(g: Graph):
             return None
         if perms is None:
             perms = [tuple(x - 1 for x in s) for s in _automorphisms(g, colours)]
-            if not perms:
-                runs = ()
         get = caps.__getitem__
         return next((p for p in perms if tuple(map(get, p)) < caps), None)
 

@@ -47,7 +47,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, check_vertices
+from .graph import Graph, _is_int, check_vertices
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 MAX_CAP = 1 << 15
@@ -65,7 +65,7 @@ def as_caps(g: Graph, caps) -> tuple:
     if len(caps) != g.n:
         raise ValueError(f"cap vector has length {len(caps)}, graph has {g.n} vertices")
     for i, c in enumerate(caps):
-        if not isinstance(c, int) or isinstance(c, bool):
+        if not _is_int(c):
             raise ValueError(f"caps[{i}] = {c!r} is not an integer")
         if not 1 <= c <= MAX_CAP:
             raise ValueError(f"caps[{i}] = {c} out of range 1..{MAX_CAP}")

@@ -112,14 +112,10 @@ from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_ca
 DEFAULT_FIBER_BUDGET = 10 ** 7
 
 
-def _ordered_members(w):
-    if isinstance(w, GeneratorSet):
-        return w.ordered
-    ws = tuple(sorted(_member_set(w), reverse=True))
-    # the packed kernels below hold one exponent per unsigned digit
-    if min(map(min, ws)) < 0:
-        raise ValueError("exponent vectors must be non-negative")
-    return ws
+def _ordered_members(w) -> tuple:
+    """W's members through ``exchange._member_set``, largest-first (z_i indexing)."""
+    mem = _member_set(w)
+    return w.ordered if isinstance(w, GeneratorSet) else tuple(sorted(mem, reverse=True))
 
 
 def _pack(vec, bits: int) -> int:

@@ -27,7 +27,6 @@ from edgepow.exchange import (
     STRONG,
     SYMMETRIC,
     _member_set,
-    _moves,
     _swap,
     check_grid,
 )
@@ -107,30 +106,9 @@ def random_wide_member_set(rng, n_max=32, size_max=10):
     return out
 
 
-# Reference toric kernel on tuples: the quadric list through ``_swap`` and
-# the grouping of multisets by product tuple, as they stood before both
-# moved to packed ints.
-
-def reference_binomials(w) -> tuple:
-    """``sym_exchange_binomials`` with tuple swaps and tuple-keyed lookups."""
-    ws = _ordered_members(w)
-    index = {vec: k + 1 for k, vec in enumerate(ws)}
-    out = set()
-    for u, v, ups, downs in _moves(combinations(ws, 2)):
-        p = (index[u], index[v])
-        for xi in ups:
-            for rho in downs:
-                ia = index.get(_swap(u, xi, rho))
-                ib = index.get(_swap(v, rho, xi))
-                if ia is None or ib is None:
-                    continue
-                q = tuple(sorted((ia, ib)))
-                if p == q:
-                    continue
-                lo, hi = min(p, q), max(p, q)
-                out.add(SymExchangeBinomial(lo[0], lo[1], hi[0], hi[1]))
-    return tuple(sorted(out))
-
+# Reference toric kernel on tuples: the grouping of multisets by product
+# tuple, as it stood before it moved to packed ints, and a search over each
+# fiber under the explicit-loop quadric list ``reference_sym_exchange_binomials``.
 
 def reference_fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
     """``fibers`` with each product summed as a tuple."""
@@ -202,7 +180,7 @@ def _fiber_connected(fiber: Fiber, moves):
 
 def reference_fiber_connectivity(w, m_max: int = 3) -> ConnectivityReport:
     """``check_fiber_connectivity`` computed by a search over each fiber."""
-    bins = reference_binomials(w)
+    bins = reference_sym_exchange_binomials(w)
     moves = []
     for rel in bins:
         p, q = rel.pairs()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -246,6 +247,30 @@ def test_classify_graph_dispatch():
     assert classify_graph(path(7)).rule == "path(>=7)"
     assert classify_graph(template("c5star")).rule == "unicyclic(ii)"
     assert classify_graph(star(4)).rule == "tree(ii)"
+    verdict = classify_graph(complete_multipartite([2, 2, 2]))
+    assert verdict.sep and verdict.rule == "multipartite-minus-matching"
+
+
+# two triangles joined by an edge: neither a tree, unicyclic, nor a complete
+# multipartite graph minus a matching
+TWO_TRIANGLES = graph_from_edges(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+
+
+@pytest.mark.parametrize(
+    "classify, g, message",
+    [
+        (classify_unicyclic, path(4), "classify_unicyclic requires a unicyclic graph"),
+        (
+            classify_graph,
+            TWO_TRIANGLES,
+            "no classifier applies: graph is neither a tree, unicyclic, nor a "
+            "complete multipartite graph minus a matching",
+        ),
+    ],
+)
+def test_classifiers_refuse_graphs_outside_their_families(classify, g, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify(g)
 
 
 def test_dispatch_peels_each_graph_once(monkeypatch):

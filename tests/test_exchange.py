@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,15 @@ import pytest
 
 import edgepow
 from edgepow import (
+    GeneratorSet,
     check_exchange,
+    check_fiber_connectivity,
     check_strong_exchange,
     check_symmetric_exchange,
     cycle,
     detect_veronese,
     enumerate_generators,
+    fibers,
     from_spec,
     graph_from_edges,
     member,
@@ -25,7 +29,7 @@ from edgepow import (
     sym_exchange_binomials,
     template,
 )
-from edgepow import exchange, fixtures, graph, powers
+from edgepow import exchange, fixtures, graph, powers, toric
 from edgepow.corpus import trees_up_to, unicyclic_up_to
 from edgepow.exchange import ExchangeWitness, cap_grid
 from helpers import (
@@ -99,6 +103,36 @@ def test_shared_move_kernel_matches_reference_loops():
 def test_empty_set_rejected():
     with pytest.raises(ValueError, match="empty"):
         check_strong_exchange(set())
+
+
+NOT_INT = "exponent vectors need one or more coordinates, ints but not bools"
+MALFORMED = [
+    (GeneratorSet(K2, (1, 1), 0, frozenset()), "generator set is empty"),
+    (set(), "generator set is empty"),
+    ({(1, 0), (1,)}, "generators have mixed lengths"),
+    ({()}, NOT_INT),
+    ({(1.5, 0.5), (0.5, 1.5)}, NOT_INT),
+    ({(True, False), (False, True)}, NOT_INT),
+    ({(2, -1), (-1, 2)}, "exponent vectors must be non-negative"),
+]
+GATED = [
+    check_exchange,
+    check_symmetric_exchange,
+    check_strong_exchange,
+    detect_veronese,
+    sym_exchange_binomials,
+    lambda w: fibers(w, 2),
+    check_fiber_connectivity,
+    toric._shape,
+]
+
+
+@pytest.mark.parametrize("w, message", MALFORMED)
+@pytest.mark.parametrize("check", GATED)
+def test_every_check_refuses_a_malformed_set_with_one_message(check, w, message):
+    # exchange._member_set is the one gate; each check reads W through it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(w)
 
 
 def test_strong_fail_cycle8_paper_witness_verifies():
@@ -407,11 +441,10 @@ def test_orbit_search_under_a_step_bound_of_one(monkeypatch):
 
 def test_search_finds_no_automorphism_before_an_inversion(monkeypatch):
     # c3fork fails at its first cell, all ones, which ascends in every
-    # colour class, so the search needs neither colours nor automorphisms
+    # colour class, so the search needs no automorphisms
     def refuse(*args):
-        raise AssertionError("colours or automorphisms computed")
+        raise AssertionError("automorphisms computed")
 
-    monkeypatch.setattr(graph, "_colours", refuse)
     monkeypatch.setattr(graph, "_automorphisms", refuse)
     caps, report = search_sep_counterexample(template("c3fork"), 2)
     assert caps == (1,) * 6 and not report.ok

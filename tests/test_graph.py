@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from edgepow import (
     Graph,
     GraphError,
+    complete_multipartite,
     cycle,
     forked_path,
     from_spec,
@@ -23,7 +25,13 @@ from edgepow import (
 )
 from edgepow import corpus
 from edgepow import graph as graph_mod
-from edgepow.graph import MAX_FAMILY_SIZE, MAX_GRAPH_FILE_BYTES, automorphisms, peel_leaves
+from edgepow.graph import (
+    MAX_FAMILY_SIZE,
+    MAX_GRAPH_FILE_BYTES,
+    automorphisms,
+    peel_leaves,
+    template_names,
+)
 from helpers import (
     delete_vertex,
     group_order,
@@ -94,6 +102,8 @@ def test_from_spec_roundtrip():
         from_spec("blob:7")
     with pytest.raises(GraphError):
         from_spec("cycle:x")
+    # a bare template name needs no family tag
+    assert from_spec("c5star") == template("c5star")
 
 
 def test_independence_number_known():
@@ -312,6 +322,48 @@ def test_json_roundtrip(tmp_path):
     p = tmp_path / "g.json"
     p.write_text(json.dumps(g.to_json()))
     assert load_graph(str(p)).edges == g.edges
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(1, frozenset()), "vertex count must be an integer >= 2, got 1"),
+        (lambda: Graph(3, frozenset({(1, 2, 3)})), "edge (1, 2, 3) is not a pair"),
+        (
+            lambda: Graph(3, frozenset({(2, 4)})),
+            "edge (2, 4) out of range for n=3 (need 1 <= u < v <= n)",
+        ),
+        (lambda: path(1), "path needs >= 2 vertices, got 1"),
+        (lambda: star(0), "star needs >= 1 leaf, got 0"),
+        (lambda: forked_path(1), "forked_path needs a path on >= 2 vertices, got 1"),
+        (lambda: star_whisker(0, 0), "star_whisker needs >= 1 leaf, got 0"),
+        (lambda: star_whisker(2, 3), "whisker count must be between 0 and 2, got 3"),
+        (lambda: complete_multipartite([3]), "need >= 2 parts, each of size >= 1, got (3,)"),
+        (
+            lambda: complete_multipartite([2, 2], [(1, 2)]),
+            "matching[0]: [1, 2] is not a cross-part edge",
+        ),
+        (
+            lambda: complete_multipartite([2, 2], [(1, 3), (1, 4)]),
+            "matching[1]: [1, 4] reuses a matched vertex",
+        ),
+        (lambda: template("c9"), f"unknown template 'c9'; known: {list(template_names())}"),
+        (lambda: from_spec("c9"), "bad graph spec 'c9'; expected 'family:params'"),
+        (lambda: induced_subgraph(path(3), [2]), "induced subgraph needs at least 2 vertices"),
+        (lambda: parse_graph_json([3, [[1, 2]]]), "graph JSON must be an object, got list"),
+        (lambda: parse_graph_json({"n": 2, "edges": "1-2"}), "'edges' must be a list of pairs"),
+    ],
+)
+def test_invalid_graph_input_is_refused_with_its_message(build, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_graph_file_with_invalid_json_is_refused(tmp_path):
+    p = tmp_path / "g.json"
+    p.write_text('{"n": 2,')
+    with pytest.raises(GraphError, match=f"^{re.escape(str(p))}: invalid JSON \\(.+\\)$"):
+        load_graph(str(p))
 
 
 def test_json_errors():

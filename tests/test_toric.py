@@ -28,7 +28,6 @@ from helpers import (
     random_member_set,
     random_wide_member_set,
     full_cap_grid,
-    reference_binomials,
     reference_conjecture_scan,
     reference_fiber_connectivity,
     reference_fibers,
@@ -85,6 +84,11 @@ def test_fibers_final_example():
 def test_fibers_singleton_set():
     level = fibers({(1, 1)}, 2)
     assert len(level) == 1 and level[0].nodes == ((1, 1),)
+
+
+def test_fibers_refuse_degree_below_2():
+    with pytest.raises(ValueError, match="^fiber degree must be >= 2, got 1$"):
+        fibers(FINAL_W, 1)
 
 
 def test_fibers_budget():
@@ -245,7 +249,7 @@ def test_packed_kernel_matches_tuple_reference_at_width_edges():
         edges.add((top == MAX_CAP, top & (top - 1) == 0, top & (top + 1) == 0))
         lengths.add(len(next(iter(w))))
         bins = sym_exchange_binomials(w)
-        assert bins == reference_binomials(w) == reference_sym_exchange_binomials(w)
+        assert bins == reference_sym_exchange_binomials(w)
         # the wrapper packs at degree-2 digits, the check at degree-k digits
         for k in range(2, 5):
             assert check_fiber_connectivity(w, k).binomial_count == len(bins)
