@@ -1,8 +1,9 @@
 """Exchange-property checkers and Veronese-type detection.
 
-Every check here and in ``toric`` reads W through one gate, ``_member_set``:
-a non-empty ``GeneratorSet`` from the engine, or a non-empty set of vectors
-of one positive length, each entry an int >= 0 (not a bool); else ValueError.
+Every check here and in ``toric`` reads W through one gate, ``_member_set``,
+once: a non-empty ``GeneratorSet`` from the engine, or a non-empty set of
+vectors of one positive length, each entry an int >= 0 (not a bool); else
+ValueError.
 
 All three properties quantify over ordered pairs (u, v) of generators and
 variable indices xi, rho with u[xi] > v[xi] and u[rho] < v[rho]:
@@ -93,7 +94,10 @@ def _member_set(w) -> frozenset:
     if isinstance(w, GeneratorSet):
         mem = w.members
     else:
-        mem = frozenset(map(tuple, w))
+        try:
+            mem = frozenset(map(tuple, w))
+        except TypeError:  # W or a member is not iterable, or an entry is unhashable
+            raise ValueError("generator set must be a collection of exponent vectors") from None
         if len(set(map(len, mem))) > 1:
             raise ValueError("generators have mixed lengths")
         entries = [a for vec in mem for a in vec]
@@ -198,7 +202,7 @@ def check_symmetric_exchange(w) -> ExchangeReport:
 def check_strong_exchange(w) -> ExchangeReport:
     """Every admissible single swap must stay in the set (module docstring)."""
     mem = _member_set(w)
-    if len(mem) > 3 and detect_veronese(w) is not None:
+    if len(mem) > 3 and _veronese(mem) is not None:
         return ExchangeReport(STRONG, True)
     for u, v, ups, downs in _moves(permutations(sorted(mem), 2)):
         for xi in ups:
@@ -283,7 +287,11 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
     Nor does a set with a bound b >= |W|, as a filled slice takes all
     b + 1 values in that coordinate; so the count is O(k**2 * |W|).
     """
-    mem = _member_set(w)
+    return _veronese(_member_set(w))
+
+
+def _veronese(mem: frozenset) -> VeroneseDecomposition | None:
+    """``detect_veronese`` on the member set that the gate returned."""
     degrees = set(map(sum, mem))
     if len(degrees) != 1:
         return None
@@ -303,8 +311,8 @@ def detect_veronese(w) -> VeroneseDecomposition | None:
 # Cap-grid walk and counterexample search
 
 def check_cap_max(cap_max: int) -> None:
-    """Refuse a cap bound under which a grid has no cap vector."""
-    if cap_max < 1:
+    """Refuse a cap bound that is no int, or under which a grid has no cap vector."""
+    if not (_is_int(cap_max) and cap_max >= 1):
         raise ValueError(f"cap_max must be >= 1, got {cap_max}")
 
 

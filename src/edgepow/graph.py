@@ -17,7 +17,9 @@ one vertex, a unicyclic graph to its unique cycle, and the peel order gives
 the trees hanging off that cycle.  Family constructors (so inline specs)
 and graph files refuse more than ``MAX_FAMILY_SIZE`` vertices or edges
 before building anything; a graph file larger than
-``MAX_GRAPH_FILE_BYTES`` is refused before it is read.
+``MAX_GRAPH_FILE_BYTES`` is refused before it is read.  Every graph input
+meets one vertex-count rule, ``_check_vertex_count``, and its edges and a
+multipartite matching one pair rule, ``_pairs``, before any work.
 """
 from __future__ import annotations
 
@@ -53,6 +55,32 @@ class GraphError(ValueError):
     """Invalid graph data, or an operation that would break graph invariants."""
 
 
+def _check_vertex_count(n) -> None:
+    """Refuse a vertex count that is not an int (nor a bool) of at least 2."""
+    if not (_is_int(n) and n >= 2):
+        raise GraphError(f"vertex count must be an integer >= 2, got {n!r}")
+
+
+def _pairs(pairs, n: int, name: str):
+    """Each entry of ``pairs`` as (u, v) with 1 <= u < v <= n, in order; an
+    entry that is not a pair of ints (not bools), a loop or one out of range
+    is refused with its position in ``name``."""
+    for pos, e in enumerate(pairs):
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise GraphError(f"{name}[{pos}]: {e!r} is not a pair") from None
+        if not (_is_int(u) and _is_int(v)):
+            raise GraphError(f"{name}[{pos}]: non-integer endpoints in {e!r}")
+        if u == v:
+            raise GraphError(f"{name}[{pos}]: loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if not (1 <= u and v <= n):
+            raise GraphError(f"{name}[{pos}]: [{u}, {v}] out of range 1..{n}")
+        yield u, v
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple graph on vertices ``1..n`` with no isolated vertex."""
@@ -61,8 +89,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise GraphError(f"vertex count must be an integer >= 2, got {self.n!r}")
+        _check_vertex_count(self.n)
         covered = set()
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2):
@@ -129,26 +156,13 @@ class Graph:
 
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a validated Graph, reporting the position of any bad edge."""
+    _check_vertex_count(n)
     seen = set()
-    out = []
-    for pos, e in enumerate(edges):
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            raise GraphError(f"edges[{pos}]: {e!r} is not a pair") from None
-        if not (_is_int(u) and _is_int(v)):
-            raise GraphError(f"edges[{pos}]: non-integer endpoints in {e!r}")
-        if u == v:
-            raise GraphError(f"edges[{pos}]: loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if not (1 <= u and v <= n):
-            raise GraphError(f"edges[{pos}]: [{u}, {v}] out of range 1..{n}")
+    for pos, (u, v) in enumerate(_pairs(edges, n, "edges")):
         if (u, v) in seen:
             raise GraphError(f"edges[{pos}]: duplicate edge [{u}, {v}]")
         seen.add((u, v))
-        out.append((u, v))
-    return Graph(n, frozenset(out))
+    return Graph(n, frozenset(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +237,13 @@ def forked_path(n: int) -> Graph:
 def complete_multipartite(parts, matching=()) -> Graph:
     """Complete multipartite graph on consecutive vertex blocks, minus a matching.
 
-    ``parts`` are the block sizes (at least two blocks, each >= 1); block i
+    ``parts`` are the block sizes (at least two blocks, each an int >= 1); block i
     holds the next ``parts[i]`` vertex labels.  ``matching`` is a set of
     vertex pairs to delete; pairs must join different blocks and be pairwise
     disjoint.  The result must have no isolated vertex.
     """
-    parts = tuple(int(p) for p in parts)
-    if len(parts) < 2 or any(p < 1 for p in parts):
+    parts = tuple(parts)
+    if len(parts) < 2 or not all(_is_int(p) and p >= 1 for p in parts):
         raise GraphError(f"need >= 2 parts, each of size >= 1, got {parts}")
     n = sum(parts)
     _check_size(n, (n * n - sum(p * p for p in parts)) // 2)
@@ -245,8 +259,7 @@ def complete_multipartite(parts, matching=()) -> Graph:
         if block[a] != block[b]
     }
     used = set()
-    for pos, e in enumerate(matching):
-        a, b = sorted(e)
+    for pos, (a, b) in enumerate(_pairs(matching, n, "matching")):
         if (a, b) not in edges:
             raise GraphError(f"matching[{pos}]: [{a}, {b}] is not a cross-part edge")
         if a in used or b in used:
@@ -586,8 +599,7 @@ def parse_graph_json(data) -> Graph:
     if "n" not in data or "edges" not in data:
         raise GraphError("graph JSON needs keys 'n' and 'edges'")
     n = data["n"]
-    if not isinstance(n, int):
-        raise GraphError(f"'n' must be an integer, got {n!r}")
+    _check_vertex_count(n)
     edges = data["edges"]
     if not isinstance(edges, list):
         raise GraphError("'edges' must be a list of pairs")

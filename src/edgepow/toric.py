@@ -107,6 +107,7 @@ from .corpus import UNICYCLIC_COUNTS
 from .exchange import GRID_LIMIT, _member_set, _moves, cap_grid, check_cap_max, check_grid
 # perfbench/spans.py patches normalize_caps and check_strong_exchange by name here
 from .exchange import check_strong_exchange
+from .graph import _is_int
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_caps  # noqa: F401
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
@@ -248,7 +249,7 @@ def _fiber_groups(products, units, m: int) -> dict:
 
 def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
     """Degree-m multisets of generator indices, grouped by product monomial."""
-    if m < 2:
+    if not (_is_int(m) and m >= 2):
         raise ValueError(f"fiber degree must be >= 2, got {m}")
     ws = _ordered_members(w)
     s = len(ws)
@@ -312,8 +313,8 @@ class ConnectivityReport:
 
 
 def check_m_max(m_max: int) -> None:
-    """Refuse a fiber degree bound under which nothing would be certified."""
-    if m_max < 2:
+    """Refuse a fiber degree bound that is no int, or under which nothing would be certified."""
+    if not (_is_int(m_max) and m_max >= 2):
         raise ValueError(f"m_max must be >= 2, got {m_max}")
 
 
@@ -441,7 +442,7 @@ def check_unicyclic_scan(max_n: int, cap_max: int, m_max: int) -> None:
     the table ``UNICYCLIC_COUNTS`` suffices)."""
     check_cap_max(cap_max)
     check_m_max(m_max)
-    if max_n < 3:
+    if not (_is_int(max_n) and max_n >= 3):
         raise ValueError(f"max_n must be >= 3 (no unicyclic graph is smaller), got {max_n}")
     check_grid(max_n, cap_max)
     total = 0

@@ -25,7 +25,9 @@ from edgepow import (
     structure_probe,
     template,
 )
+from edgepow import classify as classify_mod
 from edgepow import corpus
+from edgepow import fixtures as fixtures_mod
 from edgepow import graph as graph_mod
 from edgepow.classify import _leg_profiles, _unicyclic_independence, lift_failing_caps
 from edgepow.fixtures import failing_instances
@@ -572,6 +574,29 @@ def test_cross_validate_budget_reaches_every_engine(monkeypatch):
     assert cv.evidence == "fixture-lift"
     # the grid's engine and one engine shared by every lift attempt
     assert budgets == [5000, 5000]
+
+
+def test_cross_validate_reports_a_contradicted_positive_verdict(monkeypatch):
+    # path(7) fails at cap 2, so a positive verdict meets a grid counterexample
+    forced = classify_mod.ClassificationVerdict(True, "forced", {})
+    monkeypatch.setattr(classify_mod, "_tree_verdict", lambda g, probe: forced)
+    cv = cross_validate(path(7), 2)
+    assert cv.to_json() == {
+        "verdict": {"sep": True, "rule": "forced", "detail": {}},
+        "consistent": False,
+        "evidence": "grid-counterexample",
+        "caps": [1, 1, 1, 1, 2, 1, 1],
+    }
+    assert not cv.report.ok
+
+
+def test_cross_validate_reports_an_unconfirmed_negative_verdict(monkeypatch):
+    # the all-ones grid passes and no fixture is left to lift
+    monkeypatch.setattr(fixtures_mod, "failing_instances", lambda: ())
+    cv = cross_validate(path(7), 1)
+    assert not cv.verdict.sep
+    assert not cv.consistent and cv.evidence == "unconfirmed"
+    assert cv.caps is None and cv.report is None
 
 
 def test_lift_failing_caps_direct():

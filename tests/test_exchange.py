@@ -11,10 +11,14 @@ import pytest
 import edgepow
 from edgepow import (
     GeneratorSet,
+    GraphError,
     check_exchange,
     check_fiber_connectivity,
     check_strong_exchange,
     check_symmetric_exchange,
+    complete_multipartite,
+    conjecture_scan,
+    cross_validate,
     cycle,
     detect_veronese,
     enumerate_generators,
@@ -22,6 +26,7 @@ from edgepow import (
     from_spec,
     graph_from_edges,
     member,
+    parse_graph_json,
     path,
     PowerEngine,
     search_sep_counterexample,
@@ -133,6 +138,77 @@ def test_every_check_refuses_a_malformed_set_with_one_message(check, w, message)
     # exchange._member_set is the one gate; each check reads W through it
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check(w)
+
+
+C5 = cycle(5)
+GRAPH_INPUTS = [
+    # the one vertex-count rule
+    (lambda: graph_from_edges("5", [(1, 2)]), "vertex count must be an integer >= 2, got '5'"),
+    (lambda: graph_from_edges(None, [(1, 2)]), "vertex count must be an integer >= 2, got None"),
+    (lambda: graph_from_edges(True, [(1, 2)]), "vertex count must be an integer >= 2, got True"),
+    (
+        lambda: parse_graph_json({"n": True, "edges": [[1, 2]]}),
+        "vertex count must be an integer >= 2, got True",
+    ),
+    (
+        lambda: parse_graph_json({"n": "3", "edges": []}),
+        "vertex count must be an integer >= 2, got '3'",
+    ),
+    # part sizes, and the one pair rule on edges and on a matching
+    (lambda: graph_from_edges(3, [(1, 2), 7]), "edges[1]: 7 is not a pair"),
+    (lambda: complete_multipartite([2.9, 2]), "need >= 2 parts, each of size >= 1, got (2.9, 2)"),
+    (
+        lambda: complete_multipartite(["2", "2"]),
+        "need >= 2 parts, each of size >= 1, got ('2', '2')",
+    ),
+    (
+        lambda: complete_multipartite([True, True]),
+        "need >= 2 parts, each of size >= 1, got (True, True)",
+    ),
+    (
+        lambda: complete_multipartite([2, 2], [(1, 3.0)]),
+        "matching[0]: non-integer endpoints in (1, 3.0)",
+    ),
+    (
+        lambda: complete_multipartite([2, 2], [(True, 3)]),
+        "matching[0]: non-integer endpoints in (True, 3)",
+    ),
+    (lambda: complete_multipartite([2, 2], [(1, 3, 4)]), "matching[0]: (1, 3, 4) is not a pair"),
+    (lambda: complete_multipartite([2, 2], [5]), "matching[0]: 5 is not a pair"),
+    (lambda: complete_multipartite([2, 2], [(1, 1)]), "matching[0]: loop at vertex 1"),
+    (lambda: complete_multipartite([2, 2], [(1, 9)]), "matching[0]: [1, 9] out of range 1..4"),
+]
+VALUE_INPUTS = [
+    # integer bounds, each inside its one check
+    (lambda: search_sep_counterexample(C5, 2.5), "cap_max must be >= 1, got 2.5"),
+    (lambda: cross_validate(C5, 1.5), "cap_max must be >= 1, got 1.5"),
+    (
+        lambda: toric.check_unicyclic_scan(5.5, 2, 3),
+        "max_n must be >= 3 (no unicyclic graph is smaller), got 5.5",
+    ),
+    (lambda: fibers({(1, 1)}, 2.0), "fiber degree must be >= 2, got 2.0"),
+    (lambda: search_sep_counterexample(C5, True), "cap_max must be >= 1, got True"),
+    (lambda: conjecture_scan([C5], True), "cap_max must be >= 1, got True"),
+    (lambda: check_fiber_connectivity({(1, 1)}, 2.5), "m_max must be >= 2, got 2.5"),
+    (lambda: conjecture_scan([C5], 2, 3.5), "m_max must be >= 2, got 3.5"),
+    (lambda: check_fiber_connectivity({(1, 1)}, "3"), "m_max must be >= 2, got 3"),
+    (lambda: search_sep_counterexample(C5, "2"), "cap_max must be >= 1, got 2"),
+] + [
+    # a W that is not a collection of exponent vectors, at the one gate
+    (lambda check=check, w=w: check(w), "generator set must be a collection of exponent vectors")
+    for check in GATED
+    for w in (5, [1, 2], [[[1], [2]]])
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [(b, GraphError, m) for b, m in GRAPH_INPUTS] + [(b, ValueError, m) for b, m in VALUE_INPUTS],
+)
+def test_each_outside_input_is_refused_by_its_one_rule(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        build()
+    assert type(exc.value) is error
 
 
 def test_strong_fail_cycle8_paper_witness_verifies():
