@@ -42,7 +42,7 @@ from itertools import combinations
 
 from . import corpus
 from .exchange import ExchangeReport, check_strong_exchange, search_sep_counterexample
-from .graph import Graph, induced_subgraph, structure_probe
+from .graph import Graph, _at_least, induced_subgraph, structure_probe
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, PowerEngine
 
 CMM_STEP_LIMIT = 1_000_000
@@ -59,16 +59,14 @@ class ClassificationVerdict:
 
 
 def classify_cycle(n: int) -> ClassificationVerdict:
-    if n < 3:
-        raise ValueError(f"cycles need length >= 3, got {n}")
+    _at_least(n, 3, "cycles need length >= 3")
     if n <= 7:
         return ClassificationVerdict(True, "cycle(3..7)", {"n": n})
     return ClassificationVerdict(False, "cycle(>=8)", {"n": n})
 
 
 def classify_path(n: int) -> ClassificationVerdict:
-    if n < 2:
-        raise ValueError(f"paths need >= 2 vertices, got {n}")
+    _at_least(n, 2, "paths need >= 2 vertices")
     if n <= 6:
         return ClassificationVerdict(True, "path(2..6)", {"n": n})
     return ClassificationVerdict(False, "path(>=7)", {"n": n})

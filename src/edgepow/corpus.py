@@ -16,7 +16,7 @@ lifting) and is imported there.
 """
 from __future__ import annotations
 
-from .graph import Graph, structure_probe
+from .graph import Graph, _at_least, structure_probe
 
 # connected unicyclic graphs on n vertices, up to isomorphism (OEIS A001429)
 UNICYCLIC_COUNTS = {
@@ -81,14 +81,13 @@ def _layout_edges(layout):
 
 def all_trees(n: int) -> tuple:
     """All trees on n >= 2 vertices, up to isomorphism."""
-    if n < 2:
-        raise ValueError(f"trees need n >= 2, got {n}")
+    _at_least(n, 2, "trees need n >= 2")
     out = []
     # start at the path rooted at its centre
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         layout = _next_tree(layout)
-        out.append(Graph(n, frozenset(_layout_edges(layout))))
+        out.append(Graph(n, _layout_edges(layout)))
         layout = _next_rooted_tree(layout)
     return tuple(out)
 
@@ -108,8 +107,7 @@ def _unicyclic_key(g: Graph) -> tuple:
 
 def all_unicyclic(n: int) -> tuple:
     """All connected graphs with exactly one cycle on n >= 3 vertices, up to iso."""
-    if n < 3:
-        raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
+    _at_least(n, 3, "unicyclic graphs need n >= 3")
     seen = set()
     out = []
     for tree in all_trees(n):

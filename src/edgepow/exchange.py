@@ -313,7 +313,7 @@ def _veronese(mem: frozenset) -> VeroneseDecomposition | None:
 def check_cap_max(cap_max: int) -> None:
     """Refuse a cap bound that is no int, or under which a grid has no cap vector."""
     if not (_is_int(cap_max) and cap_max >= 1):
-        raise ValueError(f"cap_max must be >= 1, got {cap_max}")
+        raise ValueError(f"cap_max must be >= 1, got {cap_max!r}")
 
 
 def check_grid(n: int, cap_max: int) -> None:

@@ -1,15 +1,16 @@
 """Finite simple graphs on 1-based vertex labels.
 
 Graphs here are immutable values: a vertex count ``n`` and a frozenset of
-edges ``(u, v)`` with ``1 <= u < v <= n``.  Loops, parallel edges and
-isolated vertices are rejected, and so are boolean labels.  The module
-provides the standard families used by the rest of the package (cycles,
-paths, stars, whiskered stars, complete multipartite graphs minus a
-matching, a table of named small graphs), a structure probe
-(tree/unicyclic detection with the unique cycle), induced subgraphs with
-explicit renumbering maps, and graph symmetry for the cap-grid walk (the
-counterexample search and the conjecture scan): ``automorphisms`` and the
-lex-leader test ``lex_leader`` built on them.
+edges ``(u, v)`` with ``1 <= u < v <= n``, built from any iterable of
+pairs in either order.  Loops, parallel edges, isolated vertices and
+boolean labels are rejected.  The module provides the standard families
+used by the rest of the package (cycles, paths, stars, whiskered stars,
+complete multipartite graphs minus a matching, a table of named small
+graphs), a structure probe (tree/unicyclic detection with the unique
+cycle), induced subgraphs with explicit renumbering maps, and graph
+symmetry for the cap-grid walk (the counterexample search and the
+conjecture scan): ``automorphisms`` and the lex-leader test
+``lex_leader`` built on them.
 
 Leaf structure has one routine, ``peel_leaves`` (smallest leaf first, no
 recursion), and ``structure_probe`` is one call of it: a tree peels down to
@@ -17,9 +18,10 @@ one vertex, a unicyclic graph to its unique cycle, and the peel order gives
 the trees hanging off that cycle.  Family constructors (so inline specs)
 and graph files refuse more than ``MAX_FAMILY_SIZE`` vertices or edges
 before building anything; a graph file larger than
-``MAX_GRAPH_FILE_BYTES`` is refused before it is read.  Every graph input
-meets one vertex-count rule, ``_check_vertex_count``, and its edges and a
-multipartite matching one pair rule, ``_pairs``, before any work.
+``MAX_GRAPH_FILE_BYTES`` is refused before it is read.  ``Graph`` runs the
+one pair rule, ``_pairs``, on its edges, as ``complete_multipartite`` does
+on its matching, and every integer graph parameter (a vertex count, a
+family size) meets one count rule, ``_at_least``, before any work.
 """
 from __future__ import annotations
 
@@ -55,17 +57,25 @@ class GraphError(ValueError):
     """Invalid graph data, or an operation that would break graph invariants."""
 
 
+def _at_least(value, least: int, rule: str) -> None:
+    """Refuse with ``rule`` a count that is not an int (nor a bool) >= ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise GraphError(f"{rule}, got {value!r}")
+
+
 def _check_vertex_count(n) -> None:
-    """Refuse a vertex count that is not an int (nor a bool) of at least 2."""
-    if not (_is_int(n) and n >= 2):
-        raise GraphError(f"vertex count must be an integer >= 2, got {n!r}")
+    _at_least(n, 2, "vertex count must be an integer >= 2")
 
 
 def _pairs(pairs, n: int, name: str):
     """Each entry of ``pairs`` as (u, v) with 1 <= u < v <= n, in order; an
     entry that is not a pair of ints (not bools), a loop or one out of range
-    is refused with its position in ``name``."""
-    for pos, e in enumerate(pairs):
+    is refused with its position in ``name``; a non-iterable ``pairs`` first."""
+    try:
+        entries = iter(pairs)
+    except TypeError:
+        raise GraphError(f"{name} must be an iterable of pairs, got {pairs!r}") from None
+    for pos, e in enumerate(entries):
         try:
             u, v = e
         except (TypeError, ValueError):
@@ -83,26 +93,22 @@ def _pairs(pairs, n: int, name: str):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph on vertices ``1..n`` with no isolated vertex."""
+    """Simple graph on vertices ``1..n`` with no isolated vertex; ``edges``,
+    any iterable of pairs, is stored as a frozenset of ``(u, v)``, u < v."""
 
     n: int
     edges: frozenset
 
     def __post_init__(self):
         _check_vertex_count(self.n)
-        covered = set()
-        for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 2):
-                raise GraphError(f"edge {e!r} is not a pair")
-            u, v = e
-            if not (_is_int(u) and _is_int(v)):
-                raise GraphError(f"edge {e!r} has non-integer endpoints")
-            if not (1 <= u < v <= self.n):
-                raise GraphError(
-                    f"edge {e!r} out of range for n={self.n} (need 1 <= u < v <= n)"
-                )
+        edges, covered = set(), set()
+        for pos, (u, v) in enumerate(_pairs(self.edges, self.n, "edges")):
+            if (u, v) in edges:
+                raise GraphError(f"edges[{pos}]: duplicate edge [{u}, {v}]")
+            edges.add((u, v))
             covered.add(u)
             covered.add(v)
+        object.__setattr__(self, "edges", frozenset(edges))
         count = self.n - len(covered)
         if count:
             # The first 10 uncovered vertices lie within 1..len(covered) + 10,
@@ -156,13 +162,7 @@ class Graph:
 
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a validated Graph, reporting the position of any bad edge."""
-    _check_vertex_count(n)
-    seen = set()
-    for pos, (u, v) in enumerate(_pairs(edges, n, "edges")):
-        if (u, v) in seen:
-            raise GraphError(f"edges[{pos}]: duplicate edge [{u}, {v}]")
-        seen.add((u, v))
-    return Graph(n, frozenset(seen))
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +178,25 @@ def _check_size(n: int, m: int):
 
 def cycle(n: int) -> Graph:
     """Cycle x1-x2-...-xn-x1; requires n >= 3."""
-    if n < 3:
-        raise GraphError(f"cycle needs length >= 3, got {n}")
+    _at_least(n, 3, "cycle needs length >= 3")
     _check_size(n, n)
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return graph_from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def path(n: int) -> Graph:
     """Path x1-x2-...-xn; requires n >= 2."""
-    if n < 2:
-        raise GraphError(f"path needs >= 2 vertices, got {n}")
+    _at_least(n, 2, "path needs >= 2 vertices")
     _check_size(n, n - 1)
-    return graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
+    return Graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def star(n_leaves: int) -> Graph:
     """Star with center x_{n+1} joined to leaves x1..xn."""
-    if n_leaves < 1:
-        raise GraphError(f"star needs >= 1 leaf, got {n_leaves}")
+    _at_least(n_leaves, 1, "star needs >= 1 leaf")
     _check_size(n_leaves + 1, n_leaves)
     c = n_leaves + 1
-    return graph_from_edges(c, [(i, c) for i in range(1, c)])
+    return Graph(c, [(i, c) for i in range(1, c)])
 
 
 def star_whisker(n_leaves: int, n_whiskers: int) -> Graph:
@@ -207,18 +204,17 @@ def star_whisker(n_leaves: int, n_whiskers: int) -> Graph:
 
     Vertices: leaves x1..xn, whisker tips x_{n+1}..x_{n+k}, center x_{n+k+1}.
     """
-    if n_leaves < 1:
-        raise GraphError(f"star_whisker needs >= 1 leaf, got {n_leaves}")
-    if not (0 <= n_whiskers <= n_leaves):
+    _at_least(n_leaves, 1, "star_whisker needs >= 1 leaf")
+    if not (_is_int(n_whiskers) and 0 <= n_whiskers <= n_leaves):
         raise GraphError(
-            f"whisker count must be between 0 and {n_leaves}, got {n_whiskers}"
+            f"whisker count must be between 0 and {n_leaves}, got {n_whiskers!r}"
         )
     n = n_leaves + n_whiskers + 1
     _check_size(n, n - 1)
     center = n
     edges = [(i, center) for i in range(1, n_leaves + 1)]
     edges += [(i, n_leaves + i) for i in range(1, n_whiskers + 1)]
-    return graph_from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def forked_path(n: int) -> Graph:
@@ -226,12 +222,11 @@ def forked_path(n: int) -> Graph:
 
     Pendants are x_{n+1}, x_{n+2} at x1 and x_{n+3}, x_{n+4} at xn.
     """
-    if n < 2:
-        raise GraphError(f"forked_path needs a path on >= 2 vertices, got {n}")
+    _at_least(n, 2, "forked_path needs a path on >= 2 vertices")
     _check_size(n + 4, n + 3)
     edges = [(i, i + 1) for i in range(1, n)]
     edges += [(1, n + 1), (1, n + 2), (n, n + 3), (n, n + 4)]
-    return graph_from_edges(n + 4, edges)
+    return Graph(n + 4, edges)
 
 
 def complete_multipartite(parts, matching=()) -> Graph:
@@ -242,8 +237,14 @@ def complete_multipartite(parts, matching=()) -> Graph:
     vertex pairs to delete; pairs must join different blocks and be pairwise
     disjoint.  The result must have no isolated vertex.
     """
-    parts = tuple(parts)
-    if len(parts) < 2 or not all(_is_int(p) and p >= 1 for p in parts):
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        pass  # not iterable: refused below
+    if not (
+        isinstance(parts, tuple) and len(parts) >= 2
+        and all(_is_int(p) and p >= 1 for p in parts)
+    ):
         raise GraphError(f"need >= 2 parts, each of size >= 1, got {parts}")
     n = sum(parts)
     _check_size(n, (n * n - sum(p * p for p in parts)) // 2)
@@ -266,7 +267,7 @@ def complete_multipartite(parts, matching=()) -> Graph:
             raise GraphError(f"matching[{pos}]: [{a}, {b}] reuses a matched vertex")
         used.update((a, b))
         edges.remove((a, b))
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def _cyc(n):
@@ -307,7 +308,7 @@ def template(name: str) -> Graph:
     if name not in TEMPLATES:
         raise GraphError(f"unknown template {name!r}; known: {sorted(TEMPLATES)}")
     n, edges = TEMPLATES[name]
-    return graph_from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def template_names() -> tuple:
@@ -582,11 +583,10 @@ def induced_subgraph(g: Graph, keep) -> tuple:
     if len(keep) < 2:
         raise GraphError("induced subgraph needs at least 2 vertices")
     mapping = {old: i + 1 for i, old in enumerate(keep)}
-    # the mapping keeps label order, so g's edges stay ordered distinct pairs
     edges = [
         (mapping[u], mapping[v]) for u, v in g.edges if u in mapping and v in mapping
     ]
-    return Graph(len(keep), frozenset(edges)), mapping
+    return Graph(len(keep), edges), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +604,7 @@ def parse_graph_json(data) -> Graph:
     if not isinstance(edges, list):
         raise GraphError("'edges' must be a list of pairs")
     _check_size(n, len(edges))
-    return graph_from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def load_graph(path: str) -> Graph:

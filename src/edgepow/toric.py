@@ -250,7 +250,7 @@ def _fiber_groups(products, units, m: int) -> dict:
 def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
     """Degree-m multisets of generator indices, grouped by product monomial."""
     if not (_is_int(m) and m >= 2):
-        raise ValueError(f"fiber degree must be >= 2, got {m}")
+        raise ValueError(f"fiber degree must be >= 2, got {m!r}")
     ws = _ordered_members(w)
     s = len(ws)
     _multisets(s, m, budget)
@@ -315,7 +315,7 @@ class ConnectivityReport:
 def check_m_max(m_max: int) -> None:
     """Refuse a fiber degree bound that is no int, or under which nothing would be certified."""
     if not (_is_int(m_max) and m_max >= 2):
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
+        raise ValueError(f"m_max must be >= 2, got {m_max!r}")
 
 
 def check_fiber_connectivity(
@@ -443,7 +443,7 @@ def check_unicyclic_scan(max_n: int, cap_max: int, m_max: int) -> None:
     check_cap_max(cap_max)
     check_m_max(m_max)
     if not (_is_int(max_n) and max_n >= 3):
-        raise ValueError(f"max_n must be >= 3 (no unicyclic graph is smaller), got {max_n}")
+        raise ValueError(f"max_n must be >= 3 (no unicyclic graph is smaller), got {max_n!r}")
     check_grid(max_n, cap_max)
     total = 0
     for n in range(3, max_n + 1):

@@ -16,6 +16,8 @@ from edgepow import (
     check_fiber_connectivity,
     check_strong_exchange,
     check_symmetric_exchange,
+    classify_cycle,
+    classify_path,
     complete_multipartite,
     conjecture_scan,
     cross_validate,
@@ -23,7 +25,9 @@ from edgepow import (
     detect_veronese,
     enumerate_generators,
     fibers,
+    forked_path,
     from_spec,
+    Graph,
     graph_from_edges,
     member,
     parse_graph_json,
@@ -31,11 +35,12 @@ from edgepow import (
     PowerEngine,
     search_sep_counterexample,
     star,
+    star_whisker,
     sym_exchange_binomials,
     template,
 )
 from edgepow import exchange, fixtures, graph, powers, toric
-from edgepow.corpus import trees_up_to, unicyclic_up_to
+from edgepow.corpus import all_trees, all_unicyclic, trees_up_to, unicyclic_up_to
 from edgepow.exchange import ExchangeWitness, cap_grid
 from helpers import (
     SubmodularFunction,
@@ -177,6 +182,23 @@ GRAPH_INPUTS = [
     (lambda: complete_multipartite([2, 2], [5]), "matching[0]: 5 is not a pair"),
     (lambda: complete_multipartite([2, 2], [(1, 1)]), "matching[0]: loop at vertex 1"),
     (lambda: complete_multipartite([2, 2], [(1, 9)]), "matching[0]: [1, 9] out of range 1..4"),
+    # a pair or part list that is not iterable
+    (lambda: Graph(3, None), "edges must be an iterable of pairs, got None"),
+    (lambda: graph_from_edges(3, 7), "edges must be an iterable of pairs, got 7"),
+    (lambda: complete_multipartite([2, 2], 5), "matching must be an iterable of pairs, got 5"),
+    (lambda: complete_multipartite(5), "need >= 2 parts, each of size >= 1, got 5"),
+    # the one count rule on each family size
+    (lambda: star(True), "star needs >= 1 leaf, got True"),
+    (lambda: star_whisker(True, 0), "star_whisker needs >= 1 leaf, got True"),
+    (lambda: star_whisker(2, True), "whisker count must be between 0 and 2, got True"),
+    (lambda: cycle(3.5), "cycle needs length >= 3, got 3.5"),
+    (lambda: path(2.0), "path needs >= 2 vertices, got 2.0"),
+    (lambda: path("3"), "path needs >= 2 vertices, got '3'"),
+    (lambda: forked_path(2.5), "forked_path needs a path on >= 2 vertices, got 2.5"),
+    (lambda: all_trees(2.5), "trees need n >= 2, got 2.5"),
+    (lambda: all_unicyclic(3.5), "unicyclic graphs need n >= 3, got 3.5"),
+    (lambda: classify_path("9"), "paths need >= 2 vertices, got '9'"),
+    (lambda: classify_cycle(8.5), "cycles need length >= 3, got 8.5"),
 ]
 VALUE_INPUTS = [
     # integer bounds, each inside its one check
@@ -191,8 +213,13 @@ VALUE_INPUTS = [
     (lambda: conjecture_scan([C5], True), "cap_max must be >= 1, got True"),
     (lambda: check_fiber_connectivity({(1, 1)}, 2.5), "m_max must be >= 2, got 2.5"),
     (lambda: conjecture_scan([C5], 2, 3.5), "m_max must be >= 2, got 3.5"),
-    (lambda: check_fiber_connectivity({(1, 1)}, "3"), "m_max must be >= 2, got 3"),
-    (lambda: search_sep_counterexample(C5, "2"), "cap_max must be >= 1, got 2"),
+    (lambda: check_fiber_connectivity({(1, 1)}, "3"), "m_max must be >= 2, got '3'"),
+    (lambda: search_sep_counterexample(C5, "2"), "cap_max must be >= 1, got '2'"),
+    (lambda: fibers({(1, 1)}, "2"), "fiber degree must be >= 2, got '2'"),
+    (
+        lambda: toric.check_unicyclic_scan("5", 2, 3),
+        "max_n must be >= 3 (no unicyclic graph is smaller), got '5'",
+    ),
 ] + [
     # a W that is not a collection of exponent vectors, at the one gate
     (lambda check=check, w=w: check(w), "generator set must be a collection of exponent vectors")

@@ -328,11 +328,8 @@ def test_json_roundtrip(tmp_path):
     "build, message",
     [
         (lambda: Graph(1, frozenset()), "vertex count must be an integer >= 2, got 1"),
-        (lambda: Graph(3, frozenset({(1, 2, 3)})), "edge (1, 2, 3) is not a pair"),
-        (
-            lambda: Graph(3, frozenset({(2, 4)})),
-            "edge (2, 4) out of range for n=3 (need 1 <= u < v <= n)",
-        ),
+        (lambda: Graph(3, frozenset({(1, 2, 3)})), "edges[0]: (1, 2, 3) is not a pair"),
+        (lambda: Graph(3, frozenset({(2, 4)})), "edges[0]: [2, 4] out of range 1..3"),
         (lambda: path(1), "path needs >= 2 vertices, got 1"),
         (lambda: star(0), "star needs >= 1 leaf, got 0"),
         (lambda: forked_path(1), "forked_path needs a path on >= 2 vertices, got 1"),
@@ -382,12 +379,23 @@ def test_boolean_vertex_labels_are_refused():
         graph_from_edges(3, [(True, 2), (2, 3)])
     with pytest.raises(GraphError, match=r"^edges\[1\]: non-integer endpoints in \[2, False\]$"):
         parse_graph_json({"n": 3, "edges": [[1, 2], [2, False]]})
-    with pytest.raises(GraphError, match=r"^edge \(True, 2\) has non-integer endpoints$"):
+    with pytest.raises(GraphError, match=r"^edges\[1\]: non-integer endpoints in \(True, 2\)$"):
         Graph(3, frozenset({(True, 2), (2, 3)}))
     with pytest.raises(GraphError, match="^vertex True out of range 1..3$"):
         path(3).neighbors(True)
     with pytest.raises(GraphError, match="^vertex True out of range 1..3$"):
         induced_subgraph(path(3), [True, 2])
+
+def test_graph_from_any_iterable_of_pairs_equals_the_frozenset_graph():
+    # Graph runs the pair rule itself and stores canonical (u, v), u < v
+    want = Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}))
+    pairs = [(1, 2), (2, 3), (3, 4)]
+    for edges in (pairs, tuple(pairs), (e for e in pairs), [(2, 1), (3, 2), (4, 3)]):
+        g = Graph(4, edges)
+        assert g == want and hash(g) == hash(want)
+        assert type(g.edges) is frozenset and g.edges == want.edges
+    assert graph_from_edges(4, [(4, 3), (1, 2), (3, 2)]) == want
+
 
 def test_isolated_vertex_error_is_bounded():
     # A huge vertex count with one edge names the first few uncovered
