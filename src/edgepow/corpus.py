@@ -124,10 +124,12 @@ def all_unicyclic(n: int) -> tuple:
 
 
 def trees_up_to(n: int) -> tuple:
+    _at_least(n, 2, "trees need n >= 2")
     return tuple(g for k in range(2, n + 1) for g in all_trees(k))
 
 
 def unicyclic_up_to(n: int) -> tuple:
+    _at_least(n, 3, "unicyclic graphs need n >= 3")
     return tuple(g for k in range(3, n + 1) for g in all_unicyclic(k))
 
 

@@ -20,9 +20,12 @@ fast at this scale:
 
 Both searches step through the same states.  A residual is one int
 with a 32-bit digit per vertex, vertex 0 in the lowest, as is a product.
-``_child`` takes edge i t times, ``(res - t * unit) & keep``: t is at most
-min(res[u], res[v]), so nothing borrows, and ``keep`` zeroes the vertices
-that edge i is the last one for.  As ``2**32`` is 1 modulo ``2**32 - 1``,
+Each memo holds one dict per edge index i, keyed by the packed residual.
+Taking edge i t times gives the child ``(res - t * unit) & keep``: t is at
+most min(res[u], res[v]), so nothing borrows, and ``keep`` zeroes the
+vertices that edge i is the last one for.  A caller looks the child up in
+level i + 1 and recurses only on a miss, so each call is one node, the unit
+the node budget charges.  As ``2**32`` is 1 modulo ``2**32 - 1``,
 ``res % (2**32 - 1)`` is the digit sum, at most 32 * MAX_CAP = 2**20.
 Enumeration memoizes, per state and across cap vectors, the set of
 products of its best-size placements: the union, over each t with
@@ -57,6 +60,12 @@ _ONES = (1 << _BITS) - 1
 
 class BudgetError(RuntimeError):
     """A configured work budget was exhausted before the search finished."""
+
+
+def _check_budget(budget, name: str) -> None:
+    """Refuse a work budget that is not an int, or is a bool."""
+    if not _is_int(budget):
+        raise ValueError(f"{name} must be an integer, got {budget!r}")
 
 
 def as_caps(g: Graph, caps) -> tuple:
@@ -133,84 +142,97 @@ class PowerEngine:
     """Shared-memo search engine for one graph, reusable across cap vectors."""
 
     def __init__(self, graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET):
+        _check_budget(node_budget, "node budget")
         check_vertices(graph.n)
         self.graph = graph
         self.node_budget = node_budget
         self.nodes = 0
-        self._memo = {}
-        self._tops_memo = {}
+        m = len(graph.sorted_edges)
+        self._memo = [{} for _ in range(m + 1)]  # level i: packed res -> best
+        self._tops_memo = [{} for _ in range(m)]  # level i: packed res -> products
         self._vec = struct.Struct(f"<{graph.n}I")
         self._shift = tuple((_BITS * (u - 1), _BITS * (v - 1)) for u, v in graph.sorted_edges)
         self._unit = tuple((1 << su) + (1 << sv) for su, sv in self._shift)
         last = {s: i for i, pair in enumerate(self._shift) for s in pair}
-        keep = [(1 << _BITS * graph.n) - 1] * len(self._shift)
+        keep = [(1 << _BITS * graph.n) - 1] * m
         for s, i in last.items():
             keep[i] -= _ONES << s
         self._keep = tuple(keep)
 
-    def _charge(self):
-        """Count one search node."""
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise BudgetError(f"node budget {self.node_budget} exhausted")
-
     def _pack(self, vec) -> int:
         return int.from_bytes(self._vec.pack(*vec), "little")
 
-    def _child(self, i, res, t):
-        """The state after taking edge i t times: caps of vertices with no
-        edge after i are zeroed, since nothing can consume them any more."""
-        return (res - t * self._unit[i]) & self._keep[i]
-
     def _best(self, i, res):
-        """Max edges placeable from edge index i under (dead-masked) residual caps."""
-        key = (i, res)
-        val = self._memo.get(key)
-        if val is not None:
-            return val
-        self._charge()
+        """Max edges placeable from edge index i under (dead-masked) residual
+        caps; called on a memo miss only, so each call is one node."""
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise BudgetError(f"node budget {self.node_budget} exhausted")
         ub = res % _ONES // 2
         if ub == 0 or i == len(self._shift):
-            self._memo[key] = 0
+            self._memo[i][res] = 0
             return 0
         su, sv = self._shift[i]
+        unit, keep, below = self._unit[i], self._keep[i], self._memo[i + 1]
+        top = res >> su & _ONES
+        if res >> sv & _ONES < top:
+            top = res >> sv & _ONES
+        r = res - top * unit
         best = 0
-        for t in range(min(res >> su & _ONES, res >> sv & _ONES), -1, -1):
-            got = t + self._best(i + 1, self._child(i, res, t))
-            if got > best:
-                best = got
+        for t in range(top, -1, -1):
+            child = r & keep
+            r += unit
+            got = below.get(child)
+            if got is None:
+                got = self._best(i + 1, child)
+            if t + got > best:
+                best = t + got
                 if best >= ub:
                     break
-        self._memo[key] = best
+        self._memo[i][res] = best
         return best
 
     def delta(self, caps) -> int:
         caps = as_caps(self.graph, caps)
-        return self._best(0, self._pack(caps))
+        root = self._pack(caps)
+        got = self._memo[0].get(root)
+        return self._best(0, root) if got is None else got
 
     def _tops(self, i, res, best):
         """Packed products of the ``best``-edge placements from state
-        ``(i, res)``, where ``1 <= best == _best(i, res)``; never mutated."""
-        got = self._tops_memo.get((i, res))
-        if got is not None:
-            return got
-        self._charge()
+        ``(i, res)``, where ``1 <= best == _best(i, res)``; called on a memo
+        miss only, and never mutated."""
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise BudgetError(f"node budget {self.node_budget} exhausted")
         if 2 * best == res % _ONES:  # tight: the only product is res itself
-            self._tops_memo[i, res] = got = {res}
+            self._tops_memo[i][res] = got = {res}
             return got
         su, sv = self._shift[i]
         unit = self._unit[i]
         top = min(res >> su & _ONES, res >> sv & _ONES, best)
-        got = {best * unit} if top == best else None
+        got = None
+        if top == best:
+            got = {best * unit}
+            top -= 1
         if i + 1 < len(self._shift):
-            for t in range(min(top, best - 1), -1, -1):
-                child = self._child(i, res, t)
-                if t + self._best(i + 1, child) == best:
-                    sub = self._tops(i + 1, child, best - t)
+            keep, below, tops_below = self._keep[i], self._memo[i + 1], self._tops_memo[i + 1]
+            r = res - top * unit
+            for t in range(top, -1, -1):
+                child = r & keep
+                r += unit
+                got_best = below.get(child)
+                if got_best is None:
+                    got_best = self._best(i + 1, child)
+                if t + got_best == best:
+                    sub = tops_below.get(child)
+                    if sub is None:
+                        sub = self._tops(i + 1, child, best - t)
                     if t:
-                        sub = {p + t * unit for p in sub}
+                        step = t * unit
+                        sub = {p + step for p in sub}
                     got = sub if got is None else got | sub
-        self._tops_memo[i, res] = got
+        self._tops_memo[i][res] = got
         return got
 
     def generators(self, caps) -> GeneratorSet:
@@ -218,13 +240,16 @@ class PowerEngine:
         of ``_best``'s own states, memoized across cap vectors like ``_best``."""
         caps = as_caps(self.graph, caps)
         root = self._pack(caps)
-        depth = self._best(0, root)
-        try:
-            tops = self._tops(0, root, depth)
+        depth = self._memo[0].get(root)
+        if depth is None:
+            depth = self._best(0, root)
+        try:  # a product set is never empty
+            tops = self._tops_memo[0].get(root) or self._tops(0, root, depth)
         except BudgetError:
+            states = sum(map(len, self._tops_memo))
             raise BudgetError(
                 f"node budget {self.node_budget} exhausted "
-                f"(enumeration, {len(self._tops_memo)} states so far)"
+                f"(enumeration, {states} states so far)"
             ) from None
         vec = self._vec
         members = frozenset(vec.unpack(p.to_bytes(vec.size, "little")) for p in tops)

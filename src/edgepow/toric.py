@@ -109,6 +109,7 @@ from .exchange import GRID_LIMIT, _member_set, _moves, cap_grid, check_cap_max, 
 from .exchange import check_strong_exchange
 from .graph import _is_int
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_caps  # noqa: F401
+from .powers import _check_budget
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
 
@@ -251,6 +252,7 @@ def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
     """Degree-m multisets of generator indices, grouped by product monomial."""
     if not (_is_int(m) and m >= 2):
         raise ValueError(f"fiber degree must be >= 2, got {m!r}")
+    _check_budget(budget, "fiber budget")
     ws = _ordered_members(w)
     s = len(ws)
     _multisets(s, m, budget)
@@ -328,6 +330,7 @@ def check_fiber_connectivity(
     kernel binomial that the quadrics do not generate.
     """
     check_m_max(m_max)
+    _check_budget(budget, "fiber budget")
     ws = _ordered_members(w)
     s = len(ws)
     n = len(ws[0])
@@ -478,6 +481,7 @@ def conjecture_scan(
     """
     check_cap_max(cap_max)
     check_m_max(m_max)
+    _check_budget(fiber_budget, "fiber budget")
     strong_pass = 0
     strong_fail = 0
     violations = []

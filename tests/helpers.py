@@ -271,7 +271,12 @@ def reference_generators(g: Graph, caps) -> GeneratorSet:
     at the leaves."""
     engine = PowerEngine(g)
     caps = tuple(caps)
-    depth = engine._best(0, engine._pack(caps))
+
+    def best(i, res):  # the engine recurses only on a memo miss
+        got = engine._memo[i].get(res)
+        return engine._best(i, res) if got is None else got
+
+    depth = best(0, engine._pack(caps))
     pos = [(u - 1, v - 1) for u, v in g.sorted_edges]
     found = set()
     prod = [0] * g.n
@@ -280,14 +285,14 @@ def reference_generators(g: Graph, caps) -> GeneratorSet:
         if need == 0:
             found.add(tuple(prod))
             return
-        if i == len(pos) or engine._best(i, res) < need:
+        if i == len(pos) or best(i, res) < need:
             return
         u, v = pos[i]
         digits = engine._vec.unpack(res.to_bytes(engine._vec.size, "little"))
         for t in range(min(digits[u], digits[v], need), -1, -1):
             prod[u] += t
             prod[v] += t
-            go(i + 1, engine._child(i, res, t), need - t)
+            go(i + 1, (res - t * engine._unit[i]) & engine._keep[i], need - t)
             prod[u] -= t
             prod[v] -= t
 

@@ -197,6 +197,11 @@ GRAPH_INPUTS = [
     (lambda: forked_path(2.5), "forked_path needs a path on >= 2 vertices, got 2.5"),
     (lambda: all_trees(2.5), "trees need n >= 2, got 2.5"),
     (lambda: all_unicyclic(3.5), "unicyclic graphs need n >= 3, got 3.5"),
+    (lambda: unicyclic_up_to(5.5), "unicyclic graphs need n >= 3, got 5.5"),
+    (lambda: unicyclic_up_to("4"), "unicyclic graphs need n >= 3, got '4'"),
+    (lambda: unicyclic_up_to(2), "unicyclic graphs need n >= 3, got 2"),
+    (lambda: trees_up_to(True), "trees need n >= 2, got True"),
+    (lambda: trees_up_to(1), "trees need n >= 2, got 1"),
     (lambda: classify_path("9"), "paths need >= 2 vertices, got '9'"),
     (lambda: classify_cycle(8.5), "cycles need length >= 3, got 8.5"),
 ]
@@ -219,6 +224,24 @@ VALUE_INPUTS = [
     (
         lambda: toric.check_unicyclic_scan("5", 2, 3),
         "max_n must be >= 3 (no unicyclic graph is smaller), got '5'",
+    ),
+    # work budgets, refused before any work
+    (lambda: PowerEngine(C5, True), "node budget must be an integer, got True"),
+    (lambda: PowerEngine(C5, 2.5), "node budget must be an integer, got 2.5"),
+    (lambda: enumerate_generators(C5, (1,) * 5, "9"), "node budget must be an integer, got '9'"),
+    (lambda: cross_validate(C5, 1, 1e6), "node budget must be an integer, got 1000000.0"),
+    (
+        lambda: check_fiber_connectivity({(1, 1)}, 3, 2.5),
+        "fiber budget must be an integer, got 2.5",
+    ),
+    (
+        lambda: check_fiber_connectivity({(1, 1)}, 3, True),
+        "fiber budget must be an integer, got True",
+    ),
+    (lambda: fibers({(1, 1)}, 2, 3.5), "fiber budget must be an integer, got 3.5"),
+    (
+        lambda: conjecture_scan([C5], 2, 3, fiber_budget=2.5),
+        "fiber budget must be an integer, got 2.5",
     ),
 ] + [
     # a W that is not a collection of exponent vectors, at the one gate

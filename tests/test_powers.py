@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -12,6 +13,7 @@ from edgepow import (
     cycle,
     delta,
     enumerate_generators,
+    exchange,
     fixtures,
     format_monomial,
     from_spec,
@@ -343,7 +345,58 @@ def test_generators_node_and_memo_counts(spec, caps, nodes, memo):
     # last row are tight at the root: enumeration is one state.
     engine = PowerEngine(from_spec(spec))
     engine.generators(caps)
-    assert (engine.nodes, len(engine._memo)) == (nodes, memo)
+    assert (engine.nodes, sum(map(len, engine._memo))) == (nodes, memo)
+
+
+def test_budget_is_exhausted_at_the_exact_node():
+    # this search charges 15,913 nodes, so one node less stops it in enumeration
+    caps = (3, 1, 3, 2, 2, 3, 3, 3, 3)
+    engine = PowerEngine(from_spec("multipartite:3,3,3"), node_budget=15913)
+    assert engine.generators(caps).delta == 11
+    assert engine.nodes == 15913
+    engine = PowerEngine(from_spec("multipartite:3,3,3"), node_budget=15912)
+    with pytest.raises(BudgetError) as exc:
+        engine.generators(caps)
+    assert str(exc.value) == "node budget 15912 exhausted (enumeration, 4282 states so far)"
+
+
+def _memo_entries(memo):
+    return sorted((i, res, got) for i, level in enumerate(memo) for res, got in level.items())
+
+
+def _engine_digest_row(engine, w) -> bytes:
+    tops = [(i, res, sorted(got)) for i, res, got in _memo_entries(engine._tops_memo)]
+    row = [w.delta, sorted(w.members), engine.nodes, _memo_entries(engine._memo), tops]
+    return (json.dumps(row) + "\n").encode()
+
+
+def test_engine_search_is_pinned(monkeypatch):
+    # The search's states, their order and its node counts, pinned by SHA-1:
+    # per query, delta, W, nodes so far, every (edge index, packed residual,
+    # best) memo entry and every enumeration state with its products.  A
+    # fresh engine per dense query, then one engine over a cap-grid walk.
+    h = hashlib.sha1()
+    rng = random.Random(37)
+    for spec in ("4,4", "3,3,3", "2,2,2,2", "4,3,2", "3,3,2"):
+        g = from_spec(f"multipartite:{spec}")
+        for _ in range(8):
+            engine = PowerEngine(g)
+            w = engine.generators(tuple(rng.randint(1, 3) for _ in range(g.n)))
+            h.update(_engine_digest_row(engine, w))
+    assert h.hexdigest() == "03a12f84b56d240eefe56b0a1a5c739589ec4867"
+    engines = []
+
+    def engine_of(g, budget):
+        engines.append(PowerEngine(g, budget))
+        return engines[-1]
+
+    monkeypatch.setattr(exchange, "PowerEngine", engine_of)
+    h = hashlib.sha1()
+    for _, w, sigma in exchange.cap_grid(from_spec("multipartite:2,2,2"), 2):
+        if sigma is None:
+            h.update(_engine_digest_row(engines[0], w))
+    assert (len(engines), engines[0].nodes) == (1, 575)
+    assert h.hexdigest() == "5151a03a1b76368d0adbf74d62d297757e1cdb8b"
 
 
 def test_engine_memo_shared_across_caps():
@@ -384,6 +437,7 @@ def test_shared_engine_matches_multiset_walk_over_cap_grids():
     tight = sum(
         got == {res}
         for e in engines
-        for (_, res), got in e._tops_memo.items()
+        for level in e._tops_memo
+        for res, got in level.items()
     )
     assert (cells, tight) == (14050, 5454)
