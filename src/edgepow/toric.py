@@ -92,8 +92,8 @@ Each cell reads its verdict and report under one shape: its own, or a
 replayed cell its earlier image's.  A witness names a product, which the
 shape map does not keep, and members by largest-first index, which the
 permutation does not keep; so a failing report that another cell computed
-is checked again on the cell's own W, for a replayed cell the image of its
-earlier cell's members.
+is checked again on the cell's own W, which the engine computes for a
+replayed cell.
 """
 from __future__ import annotations
 
@@ -109,9 +109,10 @@ from .exchange import GRID_LIMIT, _member_set, _moves, cap_grid, check_cap_max, 
 from .exchange import check_strong_exchange
 from .graph import _is_int
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_caps  # noqa: F401
-from .powers import _check_budget
+from .powers import _check_budget, enumerate_generators
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
+CORPUS_LIMIT = 100_000  # unicyclic graphs a scan may build, whatever its cap vectors
 
 
 def _ordered_members(w) -> tuple:
@@ -442,7 +443,7 @@ def check_unicyclic_scan(max_n: int, cap_max: int, m_max: int) -> None:
     3..max_n vertices, in this order: a vacuous cap_max, m_max or max_n,
     ``check_grid`` at max_n, then the corpus's cap vectors, U(n)·cap_max^n
     summed in order of n, past ``GRID_LIMIT`` (n = 18 alone is past it, so
-    the table ``UNICYCLIC_COUNTS`` suffices)."""
+    the table ``UNICYCLIC_COUNTS`` suffices), last its graphs past ``CORPUS_LIMIT``."""
     check_cap_max(cap_max)
     check_m_max(m_max)
     if not (_is_int(max_n) and max_n >= 3):
@@ -456,6 +457,11 @@ def check_unicyclic_scan(max_n: int, cap_max: int, m_max: int) -> None:
                 f"scan of {total} cap vectors over the unicyclic graphs on "
                 f"3..{n} vertices exceeds the limit {GRID_LIMIT}"
             )
+    graphs = sum(map(UNICYCLIC_COUNTS.__getitem__, range(3, max_n + 1)))
+    if graphs > CORPUS_LIMIT:
+        raise BudgetError(
+            f"{graphs} unicyclic graphs on 3..{max_n} vertices exceed the limit {CORPUS_LIMIT}"
+        )
 
 
 def conjecture_scan(
@@ -473,7 +479,8 @@ def conjecture_scan(
     BudgetError; the budget charges only the cells the engine computes,
     about one per orbit, and a memo of one call checks one of them per
     shape of W; its one rule reruns a failing report that another cell
-    computed on the cell's own W (module docstring).  Fiber budget overruns
+    computed on the cell's own W (module docstring), which a new engine
+    builds under ``node_budget`` for a replayed cell.  Fiber budget overruns
     are recorded per instance and the scan continues.  The returned report
     lists every disconnected fiber found; a clean report certifies
     generation by the exchange quadrics through degree m_max on the swept
@@ -488,22 +495,22 @@ def conjecture_scan(
     skips = []
     shapes = {}  # _shape(W) -> (strong verdict, fiber report)
     for gi, g in enumerate(graphs):
-        seen = {}  # caps -> (shape of W, W if its report failed)
+        seen = {}  # caps -> shape of W
         for caps, gens, sigma in cap_grid(g, cap_max, node_budget):
             reused = True
             if sigma is not None:
-                shape, image = seen[tuple(map(caps.__getitem__, sigma))]
+                shape = seen[tuple(map(caps.__getitem__, sigma))]
             elif (shape := _shape(gens)) not in shapes:
                 strong = check_strong_exchange(gens).ok
                 shapes[shape] = strong, _fiber_report(gens, m_max, fiber_budget)
                 reused = False
+            seen[caps] = shape
             strong, report = shapes[shape]
             if reused and report is not None and not report.ok:  # a witness names its own W
                 if sigma is not None:
-                    gens = _relabelled(image, caps, sigma)
+                    gens = enumerate_generators(g, caps, node_budget)
                 report = _fiber_report(gens, m_max, fiber_budget)
             failed = report is not None and not report.ok
-            seen[caps] = shape, gens if failed else None
             if strong:
                 strong_pass += 1
             else:
@@ -536,11 +543,3 @@ def _fiber_report(gens, m_max: int, budget: int):
         return check_fiber_connectivity(gens, m_max, budget)
     except BudgetError:
         return None
-
-
-def _relabelled(image: GeneratorSet, caps: tuple, sigma: tuple) -> GeneratorSet:
-    """W(caps) from W(caps o sigma): each member w becomes w' with
-    w'[sigma[j]] = w[j] (module docstring), with no engine."""
-    inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
-    members = frozenset(tuple(map(w.__getitem__, inverse)) for w in image.members)
-    return GeneratorSet(image.graph, caps, image.delta, members)

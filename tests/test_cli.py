@@ -198,6 +198,10 @@ def test_scan_conjecture_refuses_oversized_scan_before_building(capsys, monkeypa
             f"scan of {total} cap vectors over the unicyclic graphs on 3..{top} "
             "vertices exceeds the limit 2000000",
         )
+    # at cap 1 the cap vectors pass up to 17 vertices, but the corpus does not
+    for max_n, graphs in ((15, 171512), (17, 1363817)):
+        message = f"{graphs} unicyclic graphs on 3..{max_n} vertices exceed the limit 100000"
+        refused(max_n, 1, message)
 
 
 def test_scan_conjecture_refuses_vacuous_bounds(capsys, monkeypatch):

@@ -36,8 +36,9 @@ def test_unicyclic_count_table_matches_the_corpus():
 
 
 def test_scan_bound_accepts_scans_within_the_limit():
-    # cap vectors over the corpus: 823,688, 666,981 and the criterion-11 5,256
-    for max_n, cap_max in ((10, 2), (8, 3), (7, 2), (17, 1)):
+    # cap vectors over the corpus: 823,688, 666,981 and the criterion-11 5,256;
+    # at cap 1, 61,131 graphs, the largest corpus under the limit 100,000
+    for max_n, cap_max in ((10, 2), (8, 3), (7, 2), (14, 1)):
         toric.check_unicyclic_scan(max_n, cap_max, 3)
 
 

@@ -358,6 +358,18 @@ def test_budget_is_exhausted_at_the_exact_node():
     with pytest.raises(BudgetError) as exc:
         engine.generators(caps)
     assert str(exc.value) == "node budget 15912 exhausted (enumeration, 4282 states so far)"
+    # delta alone charges 740 nodes: one fewer stops it there, and with exactly
+    # 740 the enumeration's own first node is the one past the budget
+    engine = PowerEngine(from_spec("multipartite:3,3,3"))
+    assert engine.delta(caps) == 11 and engine.nodes == 740
+    for budget, message in (
+        (739, "node budget 739 exhausted"),
+        (740, "node budget 740 exhausted (enumeration, 0 states so far)"),
+    ):
+        engine = PowerEngine(from_spec("multipartite:3,3,3"), node_budget=budget)
+        with pytest.raises(BudgetError) as exc:
+            engine.generators(caps)
+        assert str(exc.value) == message
 
 
 def _memo_entries(memo):
