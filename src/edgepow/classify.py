@@ -37,22 +37,23 @@ length >= 8, the cyc8 caps.  Lifts run on the caller's engine.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import corpus
 from .exchange import ExchangeReport, check_strong_exchange, search_sep_counterexample
-from .graph import Graph, _at_least, induced_subgraph, structure_probe
+from .graph import Graph, _at_least, _Record, induced_subgraph, structure_probe
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, PowerEngine
 
 CMM_STEP_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(_Record):
     sep: bool
     rule: str
-    detail: dict = field(default_factory=dict)
+    detail: dict
+
+    def __init__(self, sep, rule, detail=None):
+        self.__dict__.update(sep=sep, rule=rule, detail={} if detail is None else detail)
 
     def to_json(self) -> dict:
         return {"sep": self.sep, "rule": self.rule, "detail": self.detail}
@@ -292,13 +293,17 @@ def classify_complete_multipartite_minus_matching(g: Graph):
 # ---------------------------------------------------------------------------
 # Cross-validation against bounded search and registered fixtures
 
-@dataclass(frozen=True)
-class CrossValidation:
+class CrossValidation(_Record):
     verdict: ClassificationVerdict
     consistent: bool
     evidence: str
-    caps: tuple | None = None
-    report: ExchangeReport | None = None
+    caps: tuple | None
+    report: ExchangeReport | None
+
+    def __init__(self, verdict, consistent, evidence, caps=None, report=None):
+        self.__dict__.update(
+            verdict=verdict, consistent=consistent, evidence=evidence, caps=caps, report=report
+        )
 
     def to_json(self) -> dict:
         return {

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import classify as classify_mod
-from . import corpus, fixtures, toric
+from . import corpus, toric
 from .exchange import (
     check_exchange,
     check_strong_exchange,
@@ -41,6 +41,8 @@ def _resolve_graph(arg: str) -> Graph:
     if os.path.basename(arg) != arg or arg.endswith(".json"):
         raise GraphError(f"graph file {arg!r} does not exist")
     if arg.startswith("fixture:"):
+        from . import fixtures  # here, so that only repro and fixture: specs load it
+
         return fixtures.graph_of(fixtures.get(arg.split(":", 1)[1]))
     return from_spec(arg)
 
@@ -115,6 +117,8 @@ def _cmd_search(args):
 
 
 def _cmd_repro(args):
+    from . import fixtures
+
     if args.all and args.fixture:
         raise ValueError(f"repro takes a fixture name or --all, not both (got {args.fixture!r})")
     if args.all:

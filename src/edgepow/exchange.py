@@ -75,10 +75,9 @@ report on each other cell's own W (the ``toric`` docstring).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations, product
 
-from .graph import Graph, _is_int, check_vertices, lex_leader
+from .graph import Graph, _is_int, _Record, check_vertices, lex_leader
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, PowerEngine
 # perfbench/spans.py patches normalize_caps by name here
 from .powers import normalize_caps  # noqa: F401
@@ -117,8 +116,7 @@ def _swap(u, a, b):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExchangeWitness:
+class ExchangeWitness(_Record):
     """Failing configuration; xi and rho are 1-based variable indices.
 
     For the exchange and symmetric properties a failure means no rho works
@@ -131,6 +129,9 @@ class ExchangeWitness:
     rho: int | None
     missing: tuple | None
 
+    def __init__(self, u, v, xi, rho, missing):
+        self.__dict__.update(u=u, v=v, xi=xi, rho=rho, missing=missing)
+
     def to_json(self) -> dict:
         return {
             "u": list(self.u),
@@ -141,11 +142,13 @@ class ExchangeWitness:
         }
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
+class ExchangeReport(_Record):
     prop: str
     ok: bool
-    witness: ExchangeWitness | None = None
+    witness: ExchangeWitness | None
+
+    def __init__(self, prop, ok, witness=None):
+        self.__dict__.update(prop=prop, ok=ok, witness=witness)
 
     def to_json(self) -> dict:
         out = {"property": self.prop, "verdict": "pass" if self.ok else "fail"}
@@ -220,14 +223,16 @@ def check_strong_exchange(w) -> ExchangeReport:
 # ---------------------------------------------------------------------------
 # Veronese-type detection
 
-@dataclass(frozen=True)
-class VeroneseDecomposition:
+class VeroneseDecomposition(_Record):
     """members = base + e over all e with 0 <= e <= bounds on support, sum(e) = degree."""
 
     base: tuple
     degree: int
     support: tuple
     bounds: tuple
+
+    def __init__(self, base, degree, support, bounds):
+        self.__dict__.update(base=base, degree=degree, support=support, bounds=bounds)
 
     def expand(self) -> frozenset:
         """Reconstruct the full member set from the decomposition."""

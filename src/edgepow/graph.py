@@ -22,15 +22,19 @@ before building anything; a graph file larger than
 one pair rule, ``_pairs``, on its edges, as ``complete_multipartite`` does
 on its matching, and every integer graph parameter (a vertex count, a
 family size) meets one count rule, ``_at_least``, before any work.
+
+Every value record of the package, ``Graph`` and the reports included, is a
+``_Record``, not a dataclass: ``dataclasses`` would cost each import of the
+package its own import chain and the generated methods of every class.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
 MAX_SEARCH_VERTICES = 32
 MAX_FAMILY_SIZE = 200_000  # vertices or edges of a family graph or graph file
@@ -63,6 +67,40 @@ def _at_least(value, least: int, rule: str) -> None:
         raise GraphError(f"{rule}, got {value!r}")
 
 
+class _Record:
+    """Base of the frozen value records: the fields are the annotated names
+    of the subclass body, in order, and a subclass ``__init__`` sets them all
+    with one ``self.__dict__.update``.  Assignment and deletion raise
+    ``AttributeError``; ``cached_property`` still fills ``__dict__``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a subclass adds its own annotated names (from Python 3.10, a class's
+        # __annotations__ holds only its own) to its base's fields
+        cls._fields += tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)  # a tuple: every record has 2+ fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        args = zip(self._fields, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in args)})"
+
+
 def _check_vertex_count(n) -> None:
     _at_least(n, 2, "vertex count must be an integer >= 2")
 
@@ -91,32 +129,31 @@ def _pairs(pairs, n: int, name: str):
         yield u, v
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Simple graph on vertices ``1..n`` with no isolated vertex; ``edges``,
     any iterable of pairs, is stored as a frozenset of ``(u, v)``, u < v."""
 
     n: int
     edges: frozenset
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        edges, covered = set(), set()
-        for pos, (u, v) in enumerate(_pairs(self.edges, self.n, "edges")):
-            if (u, v) in edges:
+    def __init__(self, n: int, edges):
+        _check_vertex_count(n)
+        pairs, covered = set(), set()
+        for pos, (u, v) in enumerate(_pairs(edges, n, "edges")):
+            if (u, v) in pairs:
                 raise GraphError(f"edges[{pos}]: duplicate edge [{u}, {v}]")
-            edges.add((u, v))
+            pairs.add((u, v))
             covered.add(u)
             covered.add(v)
-        object.__setattr__(self, "edges", frozenset(edges))
-        count = self.n - len(covered)
+        count = n - len(covered)
         if count:
             # The first 10 uncovered vertices lie within 1..len(covered) + 10,
             # so a huge n costs nothing here.
-            stop = min(self.n, len(covered) + 10) + 1
+            stop = min(n, len(covered) + 10) + 1
             first = [v for v in range(1, stop) if v not in covered][:10]
             more = f" (first 10 of {count})" if count > 10 else ""
             raise GraphError(f"isolated vertices not allowed: {first}{more}")
+        self.__dict__.update(n=n, edges=frozenset(pairs))
 
     @cached_property
     def sorted_edges(self) -> tuple:
@@ -357,13 +394,21 @@ def from_spec(spec: str) -> Graph:
 # ---------------------------------------------------------------------------
 # Structure
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(_Record):
     is_tree: bool
     is_unicyclic: bool
     cycle: tuple | None
     cycle_length: int
     order: tuple
+
+    def __init__(self, is_tree, is_unicyclic, cycle, cycle_length, order):
+        self.__dict__.update(
+            is_tree=is_tree,
+            is_unicyclic=is_unicyclic,
+            cycle=cycle,
+            cycle_length=cycle_length,
+            order=order,
+        )
 
 
 def peel_leaves(g: Graph) -> tuple:

@@ -47,10 +47,9 @@ At the root this is the perfect c-matching case, 2 * delta = |c|, where W is
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, _is_int, check_vertices
+from .graph import Graph, _is_int, _Record, check_vertices
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 MAX_CAP = 1 << 15
@@ -100,14 +99,16 @@ def format_monomial(vec) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Record):
     """The generators of the top bounded power: exponent vectors of degree 2*delta."""
 
     graph: Graph
     caps: tuple
     delta: int
     members: frozenset
+
+    def __init__(self, graph, caps, delta, members):
+        self.__dict__.update(graph=graph, caps=caps, delta=delta, members=members)
 
     def __len__(self):
         return len(self.members)

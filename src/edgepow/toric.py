@@ -98,7 +98,7 @@ replayed cell.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import countOf
@@ -107,7 +107,7 @@ from .corpus import UNICYCLIC_COUNTS
 from .exchange import GRID_LIMIT, _member_set, _moves, cap_grid, check_cap_max, check_grid
 # perfbench/spans.py patches normalize_caps and check_strong_exchange by name here
 from .exchange import check_strong_exchange
-from .graph import _is_int
+from .graph import _is_int, _Record
 from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_caps  # noqa: F401
 from .powers import _check_budget, enumerate_generators
 
@@ -171,14 +171,23 @@ def _sortable(products, sums, bits: int, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class SymExchangeBinomial:
-    """Canonical quadric z_i z_j - z_i0 z_j0 with i <= j, i0 <= j0, (i,j) < (i0,j0)."""
+@total_ordering
+class SymExchangeBinomial(_Record):
+    """Canonical quadric z_i z_j - z_i0 z_j0 with i <= j, i0 <= j0, (i,j) < (i0,j0);
+    binomials order by (i, j, i0, j0)."""
 
     i: int
     j: int
     i0: int
     j0: int
+
+    def __init__(self, i, j, i0, j0):
+        self.__dict__.update(i=i, j=j, i0=i0, j0=j0)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) < other._values(other)
+        return NotImplemented
 
     def __str__(self):
         return f"z{self.i}*z{self.j} - z{self.i0}*z{self.j0}"
@@ -221,11 +230,13 @@ def sym_exchange_binomials(w) -> tuple:
     return tuple(SymExchangeBinomial(*(k + 1 for k in quad)) for quad in quads)
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(_Record):
     degree: int
     product: tuple
     nodes: tuple  # sorted tuples of 1-based generator indices
+
+    def __init__(self, degree, product, nodes):
+        self.__dict__.update(degree=degree, product=product, nodes=nodes)
 
 
 def _multisets(s: int, m: int, budget: int) -> int:
@@ -269,12 +280,19 @@ def fibers(w, m: int, budget: int = DEFAULT_FIBER_BUDGET) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class FiberCheck:
+class FiberCheck(_Record):
     degree: int
     fiber_count: int
     nontrivial_count: int
     connected: bool
+
+    def __init__(self, degree, fiber_count, nontrivial_count, connected):
+        self.__dict__.update(
+            degree=degree,
+            fiber_count=fiber_count,
+            nontrivial_count=nontrivial_count,
+            connected=connected,
+        )
 
 
 def _failure_json(failure) -> dict:
@@ -287,13 +305,17 @@ def _failure_json(failure) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(_Record):
     ok: bool
     m_max: int
     degrees: tuple
     binomial_count: int
-    failure: tuple | None = None  # (degree, product, reached_node, unreached_node)
+    failure: tuple | None  # (degree, product, reached_node, unreached_node)
+
+    def __init__(self, ok, m_max, degrees, binomial_count, failure=None):
+        self.__dict__.update(
+            ok=ok, m_max=m_max, degrees=degrees, binomial_count=binomial_count, failure=failure
+        )
 
     def to_json(self) -> dict:
         out = {
@@ -387,15 +409,25 @@ def check_fiber_connectivity(
 # ---------------------------------------------------------------------------
 # Conjecture scan
 
-@dataclass(frozen=True)
-class ScanInstance:
+class ScanInstance(_Record):
     graph_index: int
     n: int
     edges: tuple
     caps: tuple
     members: int
     status: str  # "violation" | "budget"
-    failure: tuple | None = None
+    failure: tuple | None
+
+    def __init__(self, graph_index, n, edges, caps, members, status, failure=None):
+        self.__dict__.update(
+            graph_index=graph_index,
+            n=n,
+            edges=edges,
+            caps=caps,
+            members=members,
+            status=status,
+            failure=failure,
+        )
 
     def to_json(self) -> dict:
         out = {
@@ -411,15 +443,27 @@ class ScanInstance:
         return out
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     cap_max: int
     m_max: int
     instances: int
     violations: tuple
     budget_skips: tuple
-    strong_pass: int = 0
-    strong_fail: int = 0
+    strong_pass: int
+    strong_fail: int
+
+    def __init__(
+        self, cap_max, m_max, instances, violations, budget_skips, strong_pass=0, strong_fail=0
+    ):
+        self.__dict__.update(
+            cap_max=cap_max,
+            m_max=m_max,
+            instances=instances,
+            violations=violations,
+            budget_skips=budget_skips,
+            strong_pass=strong_pass,
+            strong_fail=strong_fail,
+        )
 
     @property
     def clean(self) -> bool:

@@ -471,11 +471,14 @@ def test_search_runs_in_process_at_any_worker_count(monkeypatch):
     assert results[1] == results[0]
 
 
-def test_import_loads_no_process_pool():
+def test_import_loads_no_pool_dataclasses_or_fixtures():
+    # the package and the CLI module start no process pool, and every query
+    # skips the dataclasses import chain (inspect with it) and the fixture
+    # registry, which only repro and fixture: specs load
     code = (
-        "import sys, edgepow; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules))"
+        "import sys, edgepow, edgepow.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', "
+        "'dataclasses', 'inspect', 'edgepow.fixtures') if m in sys.modules))"
     )
     src = str(Path(edgepow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -25,12 +25,24 @@ from edgepow import (
 )
 from edgepow import corpus
 from edgepow import graph as graph_mod
+from edgepow.classify import ClassificationVerdict, CrossValidation
+from edgepow.exchange import ExchangeReport, ExchangeWitness, VeroneseDecomposition
 from edgepow.graph import (
     MAX_FAMILY_SIZE,
     MAX_GRAPH_FILE_BYTES,
+    StructureReport,
     automorphisms,
     peel_leaves,
     template_names,
+)
+from edgepow.powers import GeneratorSet
+from edgepow.toric import (
+    ConnectivityReport,
+    Fiber,
+    FiberCheck,
+    ScanInstance,
+    ScanReport,
+    SymExchangeBinomial,
 )
 from helpers import (
     delete_vertex,
@@ -534,3 +546,177 @@ def test_automorphisms_found_are_pinned(monkeypatch):
         monkeypatch.setattr(graph_mod, "_AUTOMORPHISM_STEPS", steps)
         found = repr([automorphisms(g) for g in graphs])
         assert hashlib.sha1(found.encode()).hexdigest() == digest, steps
+
+
+_WITNESS = ExchangeWitness((2, 0), (0, 2), 1, 2, (1, 1))
+_FAILURE = (2, (1, 1, 2), (1, 2), (3, 3))
+# (record, every field by keyword in order, the fields left to their defaults, repr)
+RECORDS = [
+    (
+        Graph,
+        {"n": 3, "edges": frozenset({(1, 2), (2, 3)})},
+        {},
+        "Graph(n=3, edges=[(1, 2), (2, 3)])",
+    ),
+    (
+        StructureReport,
+        {
+            "is_tree": True,
+            "is_unicyclic": False,
+            "cycle": None,
+            "cycle_length": 0,
+            "order": ((1, 2),),
+        },
+        {},
+        "StructureReport(is_tree=True, is_unicyclic=False, cycle=None, cycle_length=0, "
+        "order=((1, 2),))",
+    ),
+    (
+        GeneratorSet,
+        {"graph": Graph(2, [(1, 2)]), "caps": (1, 1), "delta": 1, "members": frozenset({(1, 1)})},
+        {},
+        "GeneratorSet(graph=Graph(n=2, edges=[(1, 2)]), caps=(1, 1), delta=1, "
+        "members=frozenset({(1, 1)}))",
+    ),
+    (
+        ExchangeWitness,
+        {"u": (2, 0), "v": (0, 2), "xi": 1, "rho": 2, "missing": (1, 1)},
+        {},
+        "ExchangeWitness(u=(2, 0), v=(0, 2), xi=1, rho=2, missing=(1, 1))",
+    ),
+    (
+        ExchangeReport,
+        {"prop": "strong", "ok": False, "witness": _WITNESS},
+        {"witness": None},
+        "ExchangeReport(prop='strong', ok=False, witness=ExchangeWitness(u=(2, 0), v=(0, 2), "
+        "xi=1, rho=2, missing=(1, 1)))",
+    ),
+    (
+        VeroneseDecomposition,
+        {"base": (0, 0), "degree": 2, "support": (1, 2), "bounds": (2, 2)},
+        {},
+        "VeroneseDecomposition(base=(0, 0), degree=2, support=(1, 2), bounds=(2, 2))",
+    ),
+    (
+        ClassificationVerdict,
+        {"sep": True, "rule": "cycle(3..7)", "detail": {"n": 5}},
+        {"detail": {}},
+        "ClassificationVerdict(sep=True, rule='cycle(3..7)', detail={'n': 5})",
+    ),
+    (
+        CrossValidation,
+        {
+            "verdict": ClassificationVerdict(False, "cycle(>=8)", {"n": 8}),
+            "consistent": True,
+            "evidence": "closed-form",
+            "caps": (1, 2),
+            "report": ExchangeReport("strong", False),
+        },
+        {"caps": None, "report": None},
+        "CrossValidation(verdict=ClassificationVerdict(sep=False, rule='cycle(>=8)', "
+        "detail={'n': 8}), consistent=True, evidence='closed-form', caps=(1, 2), "
+        "report=ExchangeReport(prop='strong', ok=False, witness=None))",
+    ),
+    (
+        SymExchangeBinomial,
+        {"i": 1, "j": 4, "i0": 2, "j0": 3},
+        {},
+        "SymExchangeBinomial(i=1, j=4, i0=2, j0=3)",
+    ),
+    (
+        Fiber,
+        {"degree": 2, "product": (1, 2, 1), "nodes": ((1, 3), (2, 2))},
+        {},
+        "Fiber(degree=2, product=(1, 2, 1), nodes=((1, 3), (2, 2)))",
+    ),
+    (
+        FiberCheck,
+        {"degree": 2, "fiber_count": 6, "nontrivial_count": 1, "connected": True},
+        {},
+        "FiberCheck(degree=2, fiber_count=6, nontrivial_count=1, connected=True)",
+    ),
+    (
+        ConnectivityReport,
+        {
+            "ok": False,
+            "m_max": 3,
+            "degrees": (FiberCheck(2, 6, 1, False),),
+            "binomial_count": 1,
+            "failure": _FAILURE,
+        },
+        {"failure": None},
+        "ConnectivityReport(ok=False, m_max=3, degrees=(FiberCheck(degree=2, fiber_count=6, "
+        "nontrivial_count=1, connected=False),), binomial_count=1, "
+        "failure=(2, (1, 1, 2), (1, 2), (3, 3)))",
+    ),
+    (
+        ScanInstance,
+        {
+            "graph_index": 0,
+            "n": 3,
+            "edges": ((1, 2), (1, 3), (2, 3)),
+            "caps": (1, 1, 2),
+            "members": 3,
+            "status": "violation",
+            "failure": _FAILURE,
+        },
+        {"failure": None},
+        "ScanInstance(graph_index=0, n=3, edges=((1, 2), (1, 3), (2, 3)), caps=(1, 1, 2), "
+        "members=3, status='violation', failure=(2, (1, 1, 2), (1, 2), (3, 3)))",
+    ),
+    (
+        ScanReport,
+        {
+            "cap_max": 2,
+            "m_max": 3,
+            "instances": 10,
+            "violations": (),
+            "budget_skips": (),
+            "strong_pass": 7,
+            "strong_fail": 3,
+        },
+        {"strong_pass": 0, "strong_fail": 0},
+        "ScanReport(cap_max=2, m_max=3, instances=10, violations=(), budget_skips=(), "
+        "strong_pass=7, strong_fail=3)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, defaults, text", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_records_are_frozen_values(cls, fields, defaults, text):
+    # what callers of every value record get: frozen fields, equality and
+    # hash by the fields of one record type, the dataclass-style repr, the
+    # constructor's positional order, keywords and defaults
+    values = tuple(fields.values())
+    a, b = cls(*values), cls(**fields)
+    assert tuple(getattr(a, name) for name in fields) == values
+    assert a == b and not a != b
+    assert repr(a) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, next(iter(fields)))
+    assert tuple(getattr(a, name) for name in fields) == values
+    try:
+        expected = hash(values)
+    except TypeError:  # a dict field, so the record is unhashable too
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+    other = type("Other", (cls,), {})(*values)
+    assert a != other and other != a
+    assert a.__eq__(values) is NotImplemented and a != values
+    given = {name: value for name, value in fields.items() if name not in defaults}
+    c, d = cls(**given), cls(**given)
+    for name, value in defaults.items():
+        assert getattr(c, name) == value
+        if isinstance(value, dict):
+            assert getattr(c, name) is not getattr(d, name)  # fresh per instance
+    if cls is SymExchangeBinomial:
+        quads = [(1, 4, 2, 3), (1, 2, 1, 3), (1, 4, 1, 5), (1, 2, 2, 2), (1, 2, 1, 3)]
+        assert sorted(cls(*q) for q in quads) == [cls(*q) for q in sorted(quads)]
+        assert cls(1, 2, 1, 3) <= cls(1, 2, 1, 3) < cls(1, 2, 2, 2) and a > cls(1, 4, 1, 5)
