@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-from . import classify as classify_mod
-from . import corpus, toric
 from .exchange import (
     check_exchange,
     check_strong_exchange,
@@ -99,7 +97,9 @@ def _cmd_check(args):
 
 
 def _cmd_classify(args):
-    value = classify_mod.classify_graph(_resolve_graph(args.graph)).to_json()
+    from .classify import classify_graph  # here, so that queries do not load it
+
+    value = classify_graph(_resolve_graph(args.graph)).to_json()
     return 0, value, [json.dumps(value)]
 
 
@@ -146,6 +146,8 @@ def _cmd_repro(args):
 
 
 def _cmd_scan(args):
+    from . import corpus, toric  # here, so that queries do not load them
+
     toric.check_unicyclic_scan(args.max_n, args.cap_max, args.m_max)
     graphs = corpus.unicyclic_up_to(args.max_n)
     report = toric.conjecture_scan(graphs, args.cap_max, args.m_max, node_budget=args.budget)

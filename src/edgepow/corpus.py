@@ -17,6 +17,7 @@ lifting) and is imported there.
 from __future__ import annotations
 
 from .graph import Graph, _at_least, structure_probe
+from .powers import BudgetError
 
 # connected unicyclic graphs on n vertices, up to isomorphism (OEIS A001429)
 UNICYCLIC_COUNTS = {
@@ -24,6 +25,20 @@ UNICYCLIC_COUNTS = {
     12: 5026, 13: 13999, 14: 39260, 15: 110381, 16: 311465, 17: 880840,
     18: 2497405,
 }
+CORPUS_LIMIT = 100_000  # unicyclic graphs one call may build
+
+
+def check_unicyclic_count(min_n: int, max_n: int) -> None:
+    """Refuse, before any graph is built, more than ``CORPUS_LIMIT``
+    unicyclic graphs on min_n..max_n vertices, counted by ``UNICYCLIC_COUNTS``."""
+    sizes = f"{min_n}..{max_n}" if min_n < max_n else max_n
+    if max_n > max(UNICYCLIC_COUNTS):  # U(n) grows with n, and U(18) alone is past the limit
+        raise BudgetError(f"unicyclic graphs on {sizes} vertices exceed the limit {CORPUS_LIMIT}")
+    graphs = sum(map(UNICYCLIC_COUNTS.__getitem__, range(min_n, max_n + 1)))
+    if graphs > CORPUS_LIMIT:
+        raise BudgetError(
+            f"{graphs} unicyclic graphs on {sizes} vertices exceed the limit {CORPUS_LIMIT}"
+        )
 
 
 def _next_rooted_tree(predecessor, p=None):
@@ -108,6 +123,7 @@ def _unicyclic_key(g: Graph) -> tuple:
 def all_unicyclic(n: int) -> tuple:
     """All connected graphs with exactly one cycle on n >= 3 vertices, up to iso."""
     _at_least(n, 3, "unicyclic graphs need n >= 3")
+    check_unicyclic_count(n, n)
     seen = set()
     out = []
     for tree in all_trees(n):
@@ -130,6 +146,7 @@ def trees_up_to(n: int) -> tuple:
 
 def unicyclic_up_to(n: int) -> tuple:
     _at_least(n, 3, "unicyclic graphs need n >= 3")
+    check_unicyclic_count(3, n)
     return tuple(g for k in range(3, n + 1) for g in all_unicyclic(k))
 
 

@@ -103,7 +103,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import countOf
 
-from .corpus import UNICYCLIC_COUNTS
+from .corpus import CORPUS_LIMIT, UNICYCLIC_COUNTS, check_unicyclic_count  # noqa: F401
 from .exchange import GRID_LIMIT, _member_set, _moves, cap_grid, check_cap_max, check_grid
 # perfbench/spans.py patches normalize_caps and check_strong_exchange by name here
 from .exchange import check_strong_exchange
@@ -112,7 +112,6 @@ from .powers import DEFAULT_NODE_BUDGET, BudgetError, GeneratorSet, normalize_ca
 from .powers import _check_budget, enumerate_generators
 
 DEFAULT_FIBER_BUDGET = 10 ** 7
-CORPUS_LIMIT = 100_000  # unicyclic graphs a scan may build, whatever its cap vectors
 
 
 def _ordered_members(w) -> tuple:
@@ -487,7 +486,8 @@ def check_unicyclic_scan(max_n: int, cap_max: int, m_max: int) -> None:
     3..max_n vertices, in this order: a vacuous cap_max, m_max or max_n,
     ``check_grid`` at max_n, then the corpus's cap vectors, U(n)·cap_max^n
     summed in order of n, past ``GRID_LIMIT`` (n = 18 alone is past it, so
-    the table ``UNICYCLIC_COUNTS`` suffices), last its graphs past ``CORPUS_LIMIT``."""
+    the table ``UNICYCLIC_COUNTS`` suffices), last its graphs past
+    ``CORPUS_LIMIT``, the check ``corpus.unicyclic_up_to`` makes itself."""
     check_cap_max(cap_max)
     check_m_max(m_max)
     if not (_is_int(max_n) and max_n >= 3):
@@ -501,11 +501,7 @@ def check_unicyclic_scan(max_n: int, cap_max: int, m_max: int) -> None:
                 f"scan of {total} cap vectors over the unicyclic graphs on "
                 f"3..{n} vertices exceeds the limit {GRID_LIMIT}"
             )
-    graphs = sum(map(UNICYCLIC_COUNTS.__getitem__, range(3, max_n + 1)))
-    if graphs > CORPUS_LIMIT:
-        raise BudgetError(
-            f"{graphs} unicyclic graphs on 3..{max_n} vertices exceed the limit {CORPUS_LIMIT}"
-        )
+    check_unicyclic_count(3, max_n)
 
 
 def conjecture_scan(

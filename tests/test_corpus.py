@@ -2,12 +2,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import edgepow
-from edgepow import cycle, graph_from_edges, structure_probe, template
+from edgepow import BudgetError, cycle, graph_from_edges, structure_probe, template
 from edgepow import corpus, toric
 from helpers import is_isomorphic, reference_trees, reference_unicyclic
 
@@ -40,6 +41,31 @@ def test_scan_bound_accepts_scans_within_the_limit():
     # at cap 1, 61,131 graphs, the largest corpus under the limit 100,000
     for max_n, cap_max in ((10, 2), (8, 3), (7, 2), (14, 1)):
         toric.check_unicyclic_scan(max_n, cap_max, 3)
+
+
+def test_unicyclic_corpus_past_the_limit_is_refused_before_building(monkeypatch):
+    # 61,131 graphs on 3..14 vertices pass; 15 vertices alone hold 110,381
+    all_unicyclic = corpus.all_unicyclic
+
+    def unbuilt(n):
+        raise AssertionError("graphs built for a refused corpus")
+
+    monkeypatch.setattr(corpus, "all_unicyclic", unbuilt)
+    monkeypatch.setattr(corpus, "all_trees", unbuilt)
+    corpus.check_unicyclic_count(3, 14)
+    for call, n, message in (
+        (corpus.unicyclic_up_to, 15, "171512 unicyclic graphs on 3..15 vertices"),
+        (all_unicyclic, 15, "110381 unicyclic graphs on 15 vertices"),
+        # past the table of counts, each size alone is past the limit
+        (corpus.unicyclic_up_to, 19, "unicyclic graphs on 3..19 vertices"),
+        (all_unicyclic, 10 ** 9, "unicyclic graphs on 1000000000 vertices"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as refused:
+            call(n)
+        assert time.perf_counter() - start < 0.1
+        assert str(refused.value) == f"{message} exceed the limit 100000"
+    assert toric.CORPUS_LIMIT is corpus.CORPUS_LIMIT
 
 
 def test_corpora_have_no_isomorphic_duplicates():

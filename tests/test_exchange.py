@@ -488,6 +488,69 @@ def test_import_loads_no_pool_dataclasses_or_fixtures():
     assert out.stdout.strip() == "[]"
 
 
+# the package's public names: its submodules and what it re-exports from them
+PUBLIC_NAMES = [
+    "BudgetError", "ClassificationVerdict", "ConnectivityReport", "CrossValidation",
+    "ExchangeReport", "ExchangeWitness", "Fiber", "GeneratorSet", "Graph", "GraphError",
+    "PowerEngine", "ScanReport", "SymExchangeBinomial", "VeroneseDecomposition",
+    "check_exchange", "check_fiber_connectivity", "check_strong_exchange",
+    "check_symmetric_exchange", "classify", "classify_complete_multipartite_minus_matching",
+    "classify_cycle", "classify_graph", "classify_path", "classify_tree", "classify_unicyclic",
+    "complete_multipartite", "conjecture_scan", "corpus", "cross_validate", "cycle", "delta",
+    "detect_veronese", "enumerate_generators", "exchange", "fibers", "forked_path",
+    "format_monomial", "from_spec", "graph", "graph_from_edges", "induced_subgraph",
+    "load_graph", "member", "normalize_caps", "parse_caps", "parse_graph_json", "path",
+    "powers", "search_sep_counterexample", "star", "star_whisker", "structure_probe",
+    "sym_exchange_binomials", "template", "template_names", "toric",
+]
+
+
+def fresh_interpreter(code: str):
+    """The JSON value that ``code`` prints in a new interpreter on this source."""
+    src = str(Path(edgepow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_import_loads_toric_classify_and_corpus_on_first_use():
+    # queries compile graph, powers and exchange only; every public name still
+    # resolves, on first access, to the object its own module holds
+    code = f"""
+import json, sys, types
+import edgepow
+listed = [n for n in dir(edgepow) if not n.startswith("_")]
+import edgepow.cli
+lazy = ("edgepow.classify", "edgepow.corpus", "edgepow.toric")
+loaded = [m for m in lazy if m in sys.modules]
+wrong = []
+for name in {PUBLIC_NAMES!r}:
+    value = getattr(edgepow, name)
+    if isinstance(value, types.ModuleType):
+        same = value is sys.modules["edgepow." + name]
+    else:
+        same = getattr(sys.modules[value.__module__], name) is value
+    if not same or vars(edgepow)[name] is not value:
+        wrong.append(name)
+try:
+    edgepow.no_such_name
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([loaded, listed, wrong, unknown]))
+"""
+    loaded, listed, wrong, unknown = fresh_interpreter(code)
+    assert loaded == []
+    assert listed == PUBLIC_NAMES
+    assert wrong == []
+    assert unknown == "module 'edgepow' has no attribute 'no_such_name'"
+    star = "from edgepow import *; import json; print(json.dumps(sorted(dir())))"
+    assert [n for n in fresh_interpreter(star) if not n.startswith("_")] == sorted(
+        PUBLIC_NAMES + ["json"]
+    )
+
+
 def test_cap_grid_matches_the_normalising_walk():
     # every normal form's first grid vector is its own fixed point, so the
     # fixed-point test yields what normalising each vector and deduplicating
